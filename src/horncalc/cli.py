@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and mathematically "true" verdicts), 1 mathematical
 "false"/violated verdicts (so shell pipelines can branch on them), 2 usage
-errors including malformed JSON payloads, 3 internal assertion failures.
+errors including malformed JSON payloads and arguments that violate a
+precondition or a budget, 3 any other (internal) failure.
 
 All output is deterministic for a fixed argv and --seed: JSON objects are
 emitted with sorted keys and every randomized routine derives its streams
@@ -14,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from fractions import Fraction
 
 from . import rng as rngmod
 from .errors import BudgetError, DomainError, ShapeError
-from .fields import DEFAULT_PRIME, QQ, SQRT5, PrimeField, field_from_tag, is_prime
+from .fields import DEFAULT_PRIME, QQ, SQRT5, PrimeField, field_from_tag
 from .flags import Flag, SubspaceBasis, position, sample_cell_point
 from .hn import DEFAULT_SUBSPACE_BUDGET, hn_minimizer_exhaustive
 from .horn import HornTable, horn0, horn_classes, horn_member
@@ -67,22 +68,15 @@ def _tuple_from_args(args, what: str = "--tuple") -> PositionTuple:
         raise _UsageError(f"bad {what}: {exc}") from exc
 
 
-def _field_from_args(args, default="rational"):
-    prime = getattr(args, "prime", None)
-    name = getattr(args, "field", None)
-    if prime is not None:
-        if not is_prime(prime):
-            raise _UsageError(f"--prime {prime} is not prime")
-        return PrimeField(prime)
-    if name is None:
-        name = default
+def _field_from_args(args, default):
+    if args.prime is not None:
+        return PrimeField(args.prime)
+    name = args.field or default
     if name == "rational":
         return QQ
     if name == "sqrt5":
         return SQRT5
-    if name == "prime":
-        return PrimeField(DEFAULT_PRIME)
-    raise _UsageError(f"unknown field {name!r}")
+    return PrimeField(DEFAULT_PRIME)
 
 
 def _load_matrix_file(path: str) -> tuple[object, Mat]:
@@ -113,43 +107,8 @@ def _format_subset(elems) -> str:
 # ---------------------------------------------------------------- horn
 
 
-def _horn_classes_parallel(r: int, n: int, s: int, cache: HornTable, jobs: int):
-    """Membership queries as a parallel map over a completed table.
-
-    The lower levels are built single-threaded first; afterwards the table
-    is read-only, so chunks of candidate tuples can be filtered
-    concurrently.  The merged output keeps the canonical order.
-    """
-    import itertools
-
-    from .subsets import enumerate_subsets
-
-    for d in range(1, r):
-        cache.zero_slice(d, r, s)
-    candidates = [
-        PositionTuple(parts)
-        for parts in itertools.product(enumerate_subsets(r, n), repeat=s)
-    ]
-    chunks = [candidates[i::jobs] for i in range(jobs)]
-
-    def filter_chunk(chunk):
-        return [(t, t.edim()) for t in chunk if horn_member(t, cache).member]
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(filter_chunk, chunks)
-    seen: dict[PositionTuple, int] = {}
-    for part in results:
-        for tup, e in part:
-            seen.setdefault(tup.canonical(), e)
-    return sorted(seen.items(), key=lambda item: item[0].sort_key())
-
-
 def _cmd_horn_enumerate(args) -> int:
-    cache = HornTable()
-    if args.jobs and args.jobs > 1:
-        classes = _horn_classes_parallel(args.r, args.n, args.s, cache, args.jobs)
-    else:
-        classes = horn_classes(args.r, args.n, args.s, cache)
+    classes = horn_classes(args.r, args.n, args.s, HornTable())
     rows = [
         {"tuple": [list(p.elements) for p in tup.parts], "edim": e}
         for tup, e in classes
@@ -260,11 +219,7 @@ def _parse_xi(text: str):
 
 def _cmd_kirwan_check(args) -> int:
     parts = _parse_xi(args.xi)
-    cache = HornTable()
-    try:
-        ok, violated = kirwan_check(parts, cache)
-    except (DomainError, ShapeError) as exc:
-        raise _UsageError(str(exc)) from exc
+    ok, violated = kirwan_check(parts, HornTable())
     _emit(
         {
             "member": ok,
@@ -279,9 +234,9 @@ def _cmd_lr_nonzero(args) -> int:
     cache = HornTable()
     try:
         weights = [Weight(tuple(int(x) for x in part)) for part in raw]
-        ok = lr_nonvanishing(weights, cache)
-    except (DomainError, ShapeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
+    ok = lr_nonvanishing(weights, cache)
     out = {"nonzero": ok, "weights": [w.to_json() for w in weights]}
     if ok:
         n, tup = tuple_from_weights(weights)
@@ -301,12 +256,8 @@ def _cmd_pos_compute(args) -> int:
     field_s, sub_mat = _load_matrix_file(args.subspace)
     if field_f != field_s:
         raise _UsageError("flag and subspace files use different fields")
-    try:
-        flag = Flag(field_f, flag_mat)
-        sub = SubspaceBasis(field_s, sub_mat)
-        pos = position(sub, flag)
-    except (DomainError, ShapeError) as exc:
-        raise _UsageError(str(exc)) from exc
+    flag = Flag(field_f, flag_mat)
+    pos = position(SubspaceBasis(field_s, sub_mat), flag)
     _emit({"position": list(pos.elements), "ground": pos.ground})
     return EXIT_OK
 
@@ -340,8 +291,6 @@ def _cmd_cell_sample(args) -> int:
 
 
 def _cmd_hn_search(args) -> int:
-    if not is_prime(args.q):
-        raise _UsageError(f"--q {args.q} is not prime")
     field = PrimeField(args.q)
     rng = rngmod.spawn(args.seed, 0)
     flags = [Flag.random(field, args.r, rng) for _ in range(args.s)]
@@ -353,12 +302,7 @@ def _cmd_hn_search(args) -> int:
         for _ in range(args.s):
             entries = sorted(rng.randrange(-4, 5) for _ in range(args.r))
             thetas.append(Weight(tuple(entries)))
-    try:
-        result = hn_minimizer_exhaustive(flags, thetas, budget=args.budget)
-    except BudgetError as exc:
-        raise _UsageError(str(exc)) from exc
-    except (DomainError, ShapeError) as exc:
-        raise _UsageError(str(exc)) from exc
+    result = hn_minimizer_exhaustive(flags, thetas, budget=args.budget)
     _emit(
         {
             "r": args.r,
@@ -377,8 +321,6 @@ def _cmd_hn_search(args) -> int:
 
 def _cmd_delta_eval(args) -> int:
     tup = _tuple_from_args(args)
-    if tup.edim() != 0:
-        raise _UsageError(f"delta needs an edim-0 tuple, got edim {tup.edim()}")
     rng = rngmod.spawn(args.seed, 0)
     r, q = tup.cardinality, tup.ground - tup.cardinality
     gs = [random_invertible(QQ, r, rng) for _ in range(tup.s)]
@@ -403,10 +345,7 @@ def _cmd_variational_demo(args) -> int:
         xi = sorted((float(x) for x in _parse_json(args.xi, "--xi")), reverse=True)
     else:
         xi = sorted((rng.uniform(-2.0, 2.0) for _ in range(args.r)), reverse=True)
-    try:
-        subset = CardSubset(args.r, tuple(int(x) for x in elems))
-    except DomainError as exc:
-        raise _UsageError(f"bad --j: {exc}") from exc
+    subset = CardSubset(args.r, tuple(int(x) for x in elems))
     report = variational_check(xi, subset, args.trials, args.tolerance, rngmod.derive_seed(args.seed, 1))
     _emit({"xi": xi, "j": list(subset.elements), **report.to_json()})
     return EXIT_OK if report.ok else EXIT_FALSE
@@ -498,19 +437,22 @@ def _cmd_fixtures_two_point(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common(parser, field_default=None):
+def _add_seed(parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    parser.add_argument("--samples", type=int, default=3)
+
+
+def _add_format(parser) -> None:
     parser.add_argument("--format", choices=["json", "csv", "tex", "text"], default="json")
-    parser.add_argument("--jobs", type=int, default=1)
+
+
+def _add_field(parser) -> None:
     parser.add_argument("--prime", type=int, default=None, help="use GF(p) with this prime")
     parser.add_argument(
         "--field",
         choices=["rational", "sqrt5", "prime"],
-        default=field_default,
+        default=None,
         help="scalar field (default depends on the subcommand)",
     )
-    parser.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,50 +467,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=3)
-    _add_common(p)
+    _add_format(p)
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; enumeration runs in one thread")
     p.set_defaults(func=_cmd_horn_enumerate)
     p = horn.add_parser("check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tuple", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_horn_check)
 
     p = sub.add_parser("horn0", help="edim-0 slice of a Horn set")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=3)
-    _add_common(p)
     p.set_defaults(func=_cmd_horn0)
 
     inter = sub.add_parser("intersect").add_subparsers(dest="action", required=True)
     p = inter.add_parser("certify")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tuple", required=True)
-    _add_common(p, field_default=None)
+    _add_seed(p)
+    p.add_argument("--samples", type=int, default=3)
+    _add_field(p)
     p.set_defaults(func=_cmd_intersect_certify)
 
     kirwan = sub.add_parser("kirwan").add_subparsers(dest="action", required=True)
     p = kirwan.add_parser("ineqs")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=3)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_kirwan_ineqs)
     p = kirwan.add_parser("check")
     p.add_argument("--xi", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_kirwan_check)
 
     lr = sub.add_parser("lr").add_subparsers(dest="action", required=True)
     p = lr.add_parser("nonzero")
     p.add_argument("--lambda", dest="lam", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_lr_nonzero)
 
     pos = sub.add_parser("pos").add_subparsers(dest="action", required=True)
     p = pos.add_parser("compute")
     p.add_argument("--flag", required=True, help="JSON matrix file; columns are the adapted basis")
     p.add_argument("--subspace", required=True, help="JSON matrix file; columns span the subspace")
-    _add_common(p)
     p.set_defaults(func=_cmd_pos_compute)
 
     cell = sub.add_parser("cell").add_subparsers(dest="action", required=True)
@@ -576,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--subset", required=True)
     p.add_argument("--flag", default=None)
-    _add_common(p)
+    _add_seed(p)
+    _add_field(p)
     p.set_defaults(func=_cmd_cell_sample)
 
     hn = sub.add_parser("hn").add_subparsers(dest="action", required=True)
@@ -585,14 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2, help="small prime field order")
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--theta", default=None)
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
     p.set_defaults(func=_cmd_hn_search)
 
     delta = sub.add_parser("delta").add_subparsers(dest="action", required=True)
     p = delta.add_parser("eval")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tuple", required=True)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_delta_eval)
 
     var = sub.add_parser("variational").add_subparsers(dest="action", required=True)
@@ -602,20 +544,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", default=None)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=_cmd_variational_demo)
 
     tables = sub.add_parser("tables").add_subparsers(dest="action", required=True)
     p = tables.add_parser("appendix-a")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_tables_a)
     p = tables.add_parser("appendix-b")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(func=_cmd_tables_b)
 
     fixtures = sub.add_parser("fixtures").add_subparsers(dest="action", required=True)
     p = fixtures.add_parser("two-point")
-    _add_common(p)
     p.set_defaults(func=_cmd_fixtures_two_point)
 
     return parser
@@ -630,11 +571,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, DomainError, ShapeError, BudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except AssertionError as exc:
-        sys.stderr.write(f"internal assertion failure: {exc}\n")
+    except Exception:
+        # exit 1 means "false", so no failure may escape with that code
+        sys.stderr.write("internal error:\n" + traceback.format_exc())
         return EXIT_INTERNAL
 
 

@@ -19,13 +19,22 @@ from .errors import DomainError
 
 DEFAULT_PRIME = 2147483647
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to all thirteen bases above
+# (Sorenson & Webster, Math. Comp. 86 (2017)); below it the test is exact.
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the fixed base set is exact below 3.3e24."""
+    """Deterministic Miller-Rabin with the prime bases 2..41.
+
+    Exact for n < psi_13 = 3317044064679887385961981 (about 3.3e24); larger
+    n raise ``DomainError`` rather than get a probabilistic answer.
+    """
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise DomainError(f"primality of {n} is only decided below {_MR_LIMIT}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -44,6 +53,16 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# Row updates of the elimination loop, for fields whose scalars carry their
+# own arithmetic operators.
+def _scale_row(self, c, row):
+    return [c * x for x in row]
+
+
+def _sub_scaled_row(self, row, c, pivot_row):
+    return [x - c * y for x, y in zip(row, pivot_row)]
 
 
 class RationalField:
@@ -71,6 +90,9 @@ class RationalField:
 
     def is_zero(self, a):
         return a == 0
+
+    scale_row = _scale_row
+    sub_scaled_row = _sub_scaled_row
 
     def from_int(self, k):
         return Fraction(k)
@@ -127,6 +149,14 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def scale_row(self, c, row):
+        p = self.p
+        return [c * x % p for x in row]
+
+    def sub_scaled_row(self, row, c, pivot_row):
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(row, pivot_row)]
 
     def from_int(self, k):
         return k % self.p
@@ -243,6 +273,9 @@ class Sqrt5Field:
 
     def is_zero(self, a):
         return a.is_zero()
+
+    scale_row = _scale_row
+    sub_scaled_row = _sub_scaled_row
 
     def from_int(self, k):
         return Sqrt5(k)

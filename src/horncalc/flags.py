@@ -14,7 +14,7 @@ below), which is what the induced-flag constructions need.
 from __future__ import annotations
 
 from .errors import DomainError, ShapeError
-from .matrices import Mat, inverse, random_invertible, rank, rref, solve_exact
+from .matrices import Mat, inverse, random_matrix, rank, rref, solve_exact
 from .subsets import CardSubset
 
 
@@ -49,7 +49,14 @@ class Flag:
 
     @classmethod
     def random(cls, field, n: int, rng) -> "Flag":
-        return cls(field, random_invertible(field, n, rng))
+        # the constructor's rank check rejects singular draws (probability
+        # <= n/p over GF(p)); resample as random_invertible does
+        for _ in range(1000):
+            try:
+                return cls(field, random_matrix(field, n, n, rng))
+            except DomainError:
+                pass
+        raise DomainError("failed to sample an invertible matrix")
 
     @classmethod
     def from_columns(cls, field, cols) -> "Flag":
@@ -99,39 +106,13 @@ def _bottom_echelon(field, mat: Mat) -> tuple[list[int], list[list]]:
 
     Returns the sorted pivot rows (0-based) and the matching reduced columns:
     pivot entry one, zeros at every other pivot row and below the pivot.
+    This is the reduced row echelon form of the columns read bottom to top.
     """
-    f = field
-    cols = [mat.col(j) for j in range(mat.ncols)]
-    pivot_of: dict[int, list] = {}
-    for c in cols:
-        c = list(c)
-        while True:
-            p = None
-            for i in range(len(c) - 1, -1, -1):
-                if not f.is_zero(c[i]):
-                    p = i
-                    break
-            if p is None:
-                raise DomainError("columns are linearly dependent")
-            if p in pivot_of:
-                other = pivot_of[p]
-                fct = f.div(c[p], other[p])
-                c = [f.sub(x, f.mul(fct, y)) for x, y in zip(c, other)]
-                continue
-            inv = f.div(f.one, c[p])
-            c = [f.mul(inv, x) for x in c]
-            pivot_of[p] = c
-            break
-    # back-eliminate other pivot rows to reach the cell normal form
-    rows_sorted = sorted(pivot_of)
-    for p in rows_sorted:
-        col = pivot_of[p]
-        for q in rows_sorted:
-            if q != p and not f.is_zero(col[q]):
-                fct = col[q]
-                col = [f.sub(x, f.mul(fct, y)) for x, y in zip(col, pivot_of[q])]
-        pivot_of[p] = col
-    return rows_sorted, [pivot_of[p] for p in rows_sorted]
+    n = mat.nrows
+    red, pivots = rref(Mat(field, [c[::-1] for c in mat.columns()], n))
+    if len(pivots) < mat.ncols:
+        raise DomainError("columns are linearly dependent")
+    return [n - 1 - c for c in reversed(pivots)], [row[::-1] for row in reversed(red.rows)]
 
 
 def position(subspace: SubspaceBasis, flag: Flag) -> CardSubset:

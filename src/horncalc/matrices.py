@@ -1,9 +1,10 @@
 """Dense exact matrices over a pluggable field.
 
-Plain Gaussian elimination: exact fields need no pivoting strategy, and the
-whole artifact works at desk scale (n up to a few dozen).  Prime fields get
-a dedicated elimination loop on machine integers; everything else goes
-through the field's arithmetic methods.
+Plain Gauss-Jordan elimination: exact fields need no pivoting strategy, and
+the whole artifact works at desk scale (n up to a few dozen).  One loop
+serves every field and every caller (``rref``, ``rank``, ``kernel_basis``,
+``inverse``, ``solve_exact``, ``det``); the row updates are the field's own
+``scale_row`` and ``sub_scaled_row``, so GF(p) stays on machine integers.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError, ShapeError
-from .fields import PrimeField
 
 
 class Mat:
@@ -164,63 +164,38 @@ def _dot(f, xs, ys):
     return acc
 
 
-def _rref_prime(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+def _eliminate(field, rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], object]:
+    """Gauss-Jordan elimination, the one elimination loop of the package.
+
+    Returns the reduced rows, the pivot columns, and the product of the
+    pivots as found, negated once per row swap: the determinant when the
+    matrix is square and of full rank.
+    """
     rows = [list(r) for r in rows]
+    is_zero = field.is_zero
     pivots = []
-    rank = 0
+    factor = field.one
     for c in range(ncols):
-        pr = None
-        for i in range(rank, len(rows)):
-            if rows[i][c] % p:
-                pr = i
-                break
+        k = len(pivots)
+        pr = next((i for i in range(k, len(rows)) if not is_zero(rows[i][c])), None)
         if pr is None:
             continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                fct = rows[i][c]
-                row = rows[i]
-                rows[i] = [(x - fct * y) % p for x, y in zip(row, prow)]
+        if pr != k:
+            rows[k], rows[pr] = rows[pr], rows[k]
+            factor = field.neg(factor)
+        piv = rows[k][c]
+        factor = field.mul(factor, piv)
+        prow = rows[k] = field.scale_row(field.div(field.one, piv), rows[k])
+        for i, row in enumerate(rows):
+            if i != k and not is_zero(row[c]):
+                rows[i] = field.sub_scaled_row(row, row[c], prow)
         pivots.append(c)
-        rank += 1
-    return rows, pivots
-
-
-def _rref_generic(rows: list[list], ncols: int, f) -> tuple[list[list], list[int]]:
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(rank, len(rows)):
-            if not f.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        inv = f.div(f.one, rows[rank][c])
-        rows[rank] = [f.mul(inv, x) for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and not f.is_zero(rows[i][c]):
-                fct = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(fct, y)) for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        rank += 1
-    return rows, pivots
+    return rows, pivots, factor
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column indices."""
-    if isinstance(m.field, PrimeField):
-        rows, pivots = _rref_prime(m.rows, m.ncols, m.field.p)
-    else:
-        rows, pivots = _rref_generic(m.rows, m.ncols, m.field)
+    rows, pivots, _ = _eliminate(m.field, m.rows, m.ncols)
     return Mat(m.field, rows, m.ncols), pivots
 
 
@@ -255,34 +230,11 @@ def inverse(m: Mat) -> Mat:
 
 
 def det(m: Mat):
-    """Exact determinant by elimination (off the prime fast path for clarity)."""
+    """Exact determinant: the pivot product of one Gauss-Jordan pass."""
     if m.nrows != m.ncols:
         raise ShapeError("determinant of a nonsquare matrix")
-    f = m.field
-    n = m.nrows
-    if n == 0:
-        return f.one
-    rows = [list(r) for r in m.rows]
-    sign_flip = False
-    result = f.one
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not f.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return f.zero
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            sign_flip = not sign_flip
-        piv = rows[c][c]
-        result = f.mul(result, piv)
-        for i in range(c + 1, n):
-            if not f.is_zero(rows[i][c]):
-                fct = f.div(rows[i][c], piv)
-                rows[i] = [f.sub(x, f.mul(fct, y)) for x, y in zip(rows[i], rows[c])]
-    return f.neg(result) if sign_flip else result
+    _, pivots, factor = _eliminate(m.field, m.rows, m.ncols)
+    return factor if len(pivots) == m.nrows else m.field.zero
 
 
 def solve_exact(a: Mat, b: Mat) -> Mat:

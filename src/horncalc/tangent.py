@@ -154,17 +154,28 @@ def _sample_flag_tuples(tup: PositionTuple, field, rng) -> tuple[list[Flag], lis
     return fs, gs
 
 
-def tdim_estimate(tup: PositionTuple, field, samples: int, rng) -> int:
-    """Minimum joint dimension over sampled flag tuples (upper bound on tdim)."""
+def _min_sampled_dim(tup: PositionTuple, field, samples: int, rng, stop_at: Optional[int] = None):
+    """Smallest joint dimension over sampled flag tuples, with its flags.
+
+    Draws ``samples`` flag tuples, stopping early at a draw whose dimension
+    equals ``stop_at``.  Returns (dimension, source flags, target flags).
+    """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
     best = None
     for _ in range(samples):
         fs, gs = _sample_flag_tuples(tup, field, rng)
         d = h_intersection_dim(tup, fs, gs)
-        if best is None or d < best:
-            best = d
+        if best is None or d < best[0]:
+            best = (d, fs, gs)
+        if d == stop_at:
+            break
     return best
+
+
+def tdim_estimate(tup: PositionTuple, field, samples: int, rng) -> int:
+    """Minimum joint dimension over sampled flag tuples (upper bound on tdim)."""
+    return _min_sampled_dim(tup, field, samples, rng)[0]
 
 
 @dataclass
@@ -211,18 +222,13 @@ def certify_intersecting(tup: PositionTuple, field, samples: int, rng) -> Inters
     tag = field.to_json_tag()
     if e < 0:
         return IntersectVerdict("not_intersecting_exact", e, None, 0, tag)
-    best = None
-    for _ in range(max(1, samples)):
-        fs, gs = _sample_flag_tuples(tup, field, rng)
-        d = h_intersection_dim(tup, fs, gs)
-        if best is None or d < best:
-            best = d
-        if d == e:
-            witness = {
-                "source_flags": [f.to_json() for f in fs],
-                "target_flags": [g.to_json() for g in gs],
-            }
-            return IntersectVerdict("intersecting_certified", e, d, samples, tag, d, witness)
+    best, fs, gs = _min_sampled_dim(tup, field, samples, rng, stop_at=e)
+    if best == e:
+        witness = {
+            "source_flags": [f.to_json() for f in fs],
+            "target_flags": [g.to_json() for g in gs],
+        }
+        return IntersectVerdict("intersecting_certified", e, best, samples, tag, best, witness)
     return IntersectVerdict("not_intersecting_mc", e, best, samples, tag, best)
 
 

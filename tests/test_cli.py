@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from horncalc import cli
 from horncalc.cli import main
 
 
@@ -59,6 +62,36 @@ class TestHornCommands:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["horn", "check", "--n", "4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horn", "enumerate", "--r", "5", "--n", "3"],
+        ["horn", "enumerate", "--r", "2", "--n", "4", "--s", "0"],
+        ["horn0", "--d", "0", "--r", "2"],
+        ["kirwan", "ineqs", "--r", "0"],
+        ["intersect", "certify", "--n", "4", "--tuple", "[[1,4],[2,4]]", "--samples", "0"],
+        ["intersect", "certify", "--n", "4", "--tuple", "[[1,4],[2,4]]", "--samples", "-3"],
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the bases 2..37
+        ["intersect", "certify", "--n", "4", "--tuple", "[[1,4],[2,4]]", "--prime", "318665857834031151167461"],
+        # a flag the subcommand does not read
+        ["horn", "check", "--n", "4", "--tuple", "[[1,4],[2,4]]", "--budget", "5"],
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    def broken(*_args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "horn_member", broken)
+    assert main(["horn", "check", "--n", "4", "--tuple", "[[1,4],[2,4]]"]) == 3
+    assert "KeyError" in capsys.readouterr().err
 
 
 class TestCertifyCommand:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,19 @@ class TestPrimality:
 
     def test_carmichael(self):
         assert not is_prime(341550071728321)
+
+    def test_psi12_strong_pseudoprime_rejected(self):
+        # strong pseudoprime to the twelve prime bases 2..37 (Sorenson-Webster)
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not is_prime(psi12)
+
+    def test_beyond_exact_range_raises(self):
+        # psi_13, the bound below which the bases 2..41 are exact
+        with pytest.raises(DomainError):
+            is_prime(3317044064679887385961981)
+        with pytest.raises(DomainError):
+            PrimeField(2 ** 127 - 1)
 
 
 def _field_axioms(field, rng, samples=50):
@@ -125,20 +139,55 @@ class TestRankKernel:
         assert rank(m2) == 0 and kernel_basis(m2) == []
 
     def test_prime_fast_path_matches_generic_path(self):
-        # machine-integer elimination vs the field-method loop, same field
-        from horncalc.matrices import _rref_generic, _rref_prime
-
+        # rref's per-field row updates vs the scalar-method reference loop
         rng = rngmod.spawn(3, 0)
         p = 97
         pf = PrimeField(p)
         for _ in range(30):
             ints = [[rng.randrange(p) for _ in range(5)] for _ in range(4)]
-            rows_fast, piv_fast = _rref_prime(ints, 5, p)
-            rows_gen, piv_gen = _rref_generic(ints, 5, pf)
-            assert piv_fast == piv_gen
-            assert [[x % p for x in row] for row in rows_fast] == [
-                [x % p for x in row] for row in rows_gen
-            ]
+            red, pivots = rref(Mat(pf, ints))
+            assert (red.rows, pivots) == _reference_rref(pf, ints, 5)
+        for field in (QQ, SQRT5):
+            for trial in range(20):
+                rows = random_matrix(field, 4, 5, rng).rows
+                if trial % 2:  # rank deficiency: a dependent row and a zero column
+                    rows[3] = [field.add(x, y) for x, y in zip(rows[0], rows[1])]
+                    for row in rows:
+                        row[trial % 5] = field.zero
+                red, pivots = rref(Mat(field, rows))
+                assert (red.rows, pivots) == _reference_rref(field, rows, 5)
+
+
+def _reference_rref(f, rows, ncols):
+    """Gauss-Jordan elimination through the field's scalar methods only."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        pr = next((i for i in range(k, len(rows)) if not f.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[k], rows[pr] = rows[pr], rows[k]
+        inv = f.div(f.one, rows[k][c])
+        rows[k] = [f.mul(inv, x) for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and not f.is_zero(rows[i][c]):
+                fct = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(fct, y)) for x, y in zip(rows[i], rows[k])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _leibniz_det(f, m):
+    n = m.nrows
+    total = f.zero
+    for perm in itertools.permutations(range(n)):
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, m.rows[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = f.add(total, f.neg(term) if inversions % 2 else term)
+    return total
 
 
 class TestInverseDetSolve:
@@ -157,6 +206,23 @@ class TestInverseDetSolve:
         assert det(Mat.from_ints(QQ, [[0, 1], [1, 0]])) == -1
         assert det(Mat.from_ints(QQ, [[1, 2], [2, 4]])) == 0
         assert det(Mat(QQ, [], ncols=0)) == 1
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7), SQRT5], ids=["rational", "gf7", "sqrt5"])
+    def test_det_matches_leibniz(self, field):
+        rng = rngmod.spawn(6, 0)
+        for n in range(5):
+            cases = [Mat.from_columns(field, Mat.identity(field, n).rows[::-1], n)]  # anti-diagonal
+            for _ in range(6):
+                m = random_matrix(field, n, n, rng)
+                if n:
+                    m.rows[0][0] = field.zero  # forces a row swap unless column 0 is zero
+                cases.append(m)
+                if n >= 2:
+                    singular = m.copy()
+                    singular.rows[-1] = list(singular.rows[0])
+                    cases.append(singular)
+            for m in cases:
+                assert det(m) == _leibniz_det(field, m)
 
     def test_det_multiplicative(self):
         rng = rngmod.spawn(5, 0)

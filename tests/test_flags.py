@@ -78,6 +78,28 @@ class TestPosition:
         with pytest.raises(ShapeError):
             position(SubspaceBasis(QQ, Mat.from_ints(QQ, [[1], [0], [0]])), e)
 
+    @pytest.mark.parametrize("field", [QQ, GF7], ids=["rational", "gf7"])
+    def test_cell_normal_form(self, field):
+        # column a has entry one at its pivot row, zeros below it and zeros
+        # at every other pivot row, and spans the subspace in flag coordinates
+        rng = rngmod.spawn(11, 0)
+        for _ in range(40):
+            n = rng.randrange(1, 8)
+            d = rng.randrange(1, n + 1)
+            flag = Flag.random(field, n, rng)
+            m = Mat(field, [[field.random(rng) for _ in range(d)] for _ in range(n)], d)
+            if rank(m) < d:
+                continue
+            pos, normal = cell_normal_basis(SubspaceBasis(field, m), flag)
+            assert pos == position_by_rank_formula(SubspaceBasis(field, m), flag)
+            pivot_rows = [j - 1 for j in pos.elements]
+            for a, p in enumerate(pivot_rows):
+                col = normal.col(a)
+                assert col[p] == field.one
+                assert all(field.is_zero(x) for x in col[p + 1:])
+                assert all(field.is_zero(col[q]) for q in pivot_rows if q != p)
+            assert rank(flag.inv().mul(m).hstack(normal)) == d
+
 
 class TestInducedSubspaceFlag:
     def test_prefix_subspace_gives_identity_chain(self):
