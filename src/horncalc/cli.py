@@ -60,12 +60,30 @@ def _parse_json(text: str, what: str):
         raise _UsageError(f"malformed JSON in {what} at position {exc.pos}: {exc.msg}") from exc
 
 
-def _tuple_from_args(args, what: str = "--tuple") -> PositionTuple:
-    lists = _parse_json(args.tuple, what)
+def _checked(value, depth: int, entry, what: str):
+    """``value`` as lists nested ``depth`` deep, each entry converted by ``entry``.
+
+    Wrong nesting raises ``ShapeError`` and an entry that ``entry`` rejects
+    raises ``DomainError``, so every malformed argument is a usage error.
+    """
+    if depth:
+        if not isinstance(value, list):
+            raise ShapeError(f"bad {what}: expected a list, got {json.dumps(value)}")
+        return [_checked(x, depth - 1, entry, what) for x in value]
+    if isinstance(value, (list, dict)):
+        raise ShapeError(f"bad {what}: expected a scalar entry, got {json.dumps(value)}")
     try:
-        return PositionTuple.from_lists(args.n, lists)
-    except (DomainError, ShapeError, TypeError) as exc:
-        raise _UsageError(f"bad {what}: {exc}") from exc
+        return entry(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise DomainError(f"bad {what}: entry {json.dumps(value)}: {exc}") from exc
+
+
+def _json_arg(text: str, what: str, depth: int, entry=int):
+    return _checked(_parse_json(text, what), depth, entry, what)
+
+
+def _tuple_from_args(args) -> PositionTuple:
+    return PositionTuple.from_lists(args.n, _json_arg(args.tuple, "--tuple", 2))
 
 
 def _field_from_args(args, default):
@@ -87,13 +105,11 @@ def _load_matrix_file(path: str) -> tuple[object, Mat]:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
-    try:
-        field = field_from_tag(obj["field"])
-        entries = [[field.parse(x) for x in row] for row in obj["entries"]]
-        ncols = len(entries[0]) if entries else 0
-        return field, Mat(field, entries, ncols)
-    except (KeyError, DomainError, ShapeError, ValueError) as exc:
-        raise _UsageError(f"bad matrix file {path}: {exc}") from exc
+    if not (isinstance(obj, dict) and {"field", "entries"} <= obj.keys()):
+        raise ShapeError(f"bad matrix file {path}: expected an object with \"field\" and \"entries\"")
+    field = field_from_tag(obj["field"])
+    entries = _checked(obj["entries"], 2, field.parse, f"matrix file {path}")
+    return field, Mat(field, entries, len(entries[0]) if entries else 0)
 
 
 def _fraction_json(x: Fraction) -> list[int]:
@@ -209,16 +225,8 @@ def _cmd_kirwan_ineqs(args) -> int:
     return EXIT_OK
 
 
-def _parse_xi(text: str):
-    raw = _parse_json(text, "--xi")
-    try:
-        return [[Fraction(str(x)) for x in part] for part in raw]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise _UsageError(f"bad rational entry in --xi: {exc}") from exc
-
-
 def _cmd_kirwan_check(args) -> int:
-    parts = _parse_xi(args.xi)
+    parts = _json_arg(args.xi, "--xi", 2, lambda x: Fraction(str(x)))
     ok, violated = kirwan_check(parts, HornTable())
     _emit(
         {
@@ -230,12 +238,8 @@ def _cmd_kirwan_check(args) -> int:
 
 
 def _cmd_lr_nonzero(args) -> int:
-    raw = _parse_json(args.lam, "--lambda")
+    weights = [Weight(tuple(part)) for part in _json_arg(args.lam, "--lambda", 2)]
     cache = HornTable()
-    try:
-        weights = [Weight(tuple(int(x) for x in part)) for part in raw]
-    except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc)) from exc
     ok = lr_nonvanishing(weights, cache)
     out = {"nonzero": ok, "weights": [w.to_json() for w in weights]}
     if ok:
@@ -263,11 +267,7 @@ def _cmd_pos_compute(args) -> int:
 
 
 def _cmd_cell_sample(args) -> int:
-    elems = _parse_json(args.subset, "--subset")
-    try:
-        subset = CardSubset(args.n, tuple(int(x) for x in elems))
-    except (DomainError, TypeError) as exc:
-        raise _UsageError(f"bad --subset: {exc}") from exc
+    subset = CardSubset(args.n, tuple(_json_arg(args.subset, "--subset", 1)))
     field = _field_from_args(args, default="rational")
     rng = rngmod.spawn(args.seed, 0)
     if args.flag:
@@ -295,8 +295,7 @@ def _cmd_hn_search(args) -> int:
     rng = rngmod.spawn(args.seed, 0)
     flags = [Flag.random(field, args.r, rng) for _ in range(args.s)]
     if args.theta:
-        raw = _parse_json(args.theta, "--theta")
-        thetas = [Weight(tuple(int(x) for x in part)) for part in raw]
+        thetas = [Weight(tuple(part)) for part in _json_arg(args.theta, "--theta", 2)]
     else:
         thetas = []
         for _ in range(args.s):
@@ -339,13 +338,13 @@ def _cmd_delta_eval(args) -> int:
 
 
 def _cmd_variational_demo(args) -> int:
-    elems = _parse_json(args.j, "--j")
+    elems = _json_arg(args.j, "--j", 1)
     rng = rngmod.spawn(args.seed, 0)
     if args.xi:
-        xi = sorted((float(x) for x in _parse_json(args.xi, "--xi")), reverse=True)
+        xi = sorted(_json_arg(args.xi, "--xi", 1, float), reverse=True)
     else:
         xi = sorted((rng.uniform(-2.0, 2.0) for _ in range(args.r)), reverse=True)
-    subset = CardSubset(args.r, tuple(int(x) for x in elems))
+    subset = CardSubset(args.r, tuple(elems))
     report = variational_check(xi, subset, args.trials, args.tolerance, rngmod.derive_seed(args.seed, 1))
     _emit({"xi": xi, "j": list(subset.elements), **report.to_json()})
     return EXIT_OK if report.ok else EXIT_FALSE

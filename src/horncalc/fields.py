@@ -329,6 +329,6 @@ def field_from_tag(tag) -> RationalField | PrimeField | Sqrt5Field:
         return QQ
     if tag == "sqrt5":
         return SQRT5
-    if isinstance(tag, dict) and "prime" in tag:
-        return PrimeField(int(tag["prime"]))
+    if isinstance(tag, dict) and isinstance(tag.get("prime"), int):
+        return PrimeField(tag["prime"])
     raise DomainError(f"unknown field tag {tag!r}")

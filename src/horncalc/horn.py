@@ -7,19 +7,57 @@ By Belkale's theorem this recursion computes exactly the tuples whose
 Schubert varieties intersect for every choice of flags, so ``horn_member``
 doubles as an exact intersection test (``is_intersecting_exact``).
 
-Tables are built bottom-up in the cardinality and cached: deciding
-membership at level r re-queries the expected-dimension-zero slice of every
-level 0 < d < r over ground r.
+Only the edim-0 slices recurse: Z(d, r, s) needs Z(m, d, s) for 0 < m < d.
+Levels are closed under permuting the parts, so a scan visits canonical rows
+only (nondecreasing indices into the lex-ordered d-subsets of [r]), with a
+codimension budget that starts at d(r - d) and leaves each row's edim.  The
+composition test separates by part, edim(I o J) = sum_k D[I_k][J_k] -
+(s-1) m(r-m) with D[I][J] = dim(I o J): one precomputed vector per part.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
-from .errors import DomainError, ShapeError
+from .errors import BudgetError, DomainError, ShapeError
 from .subsets import CardSubset, PositionTuple, enumerate_subsets
+
+# Canonical rows one level scan may test: the largest slice at r = 10, s = 3
+# tests 43,019, the full level (5, 12, 3) would test 4.65 million.
+MAX_CANDIDATES = 10**6
+HEAD = 32  # lower rows tested first; the smallest slices reject most failures
+
+Rows = list[tuple[tuple[int, ...], int]]  # index rows with their edims
+
+
+def _count(codims: list[int], cell: int, s: int, full: bool) -> int:
+    """Nondecreasing s-tuples with codimension sum ``cell`` (at most ``cell`` if ``full``)."""
+    ways = [[1] + [0] * cell] + [[0] * (cell + 1) for _ in range(s)]
+    for c in codims:
+        for fewer, more in zip(ways, ways[1:]):
+            for b in range(c, cell + 1):
+                more[b] += fewer[b - c]
+    return sum(ways[s]) if full else ways[s][cell]
+
+
+def _expand(rows: Rows) -> Rows:
+    """Every distinct permutation of each row, in lexicographic order."""
+    out = set()
+    for row, e in rows:
+        perms = {()}  # inserted part by part, so s! repeats of equal parts never form
+        for x in row:
+            perms = {p[:k] + (x,) + p[k:] for p in perms for k in range(len(p) + 1)}
+        out.update((p, e) for p in perms)
+    return sorted(out)
+
+
+def _tuples(d: int, r: int, rows: Rows) -> list[tuple[PositionTuple, int]]:
+    subs = enumerate_subsets(d, r)
+    return [(PositionTuple(tuple(subs[i] for i in row)), e) for row, e in rows]
 
 
 @dataclass(frozen=True)
@@ -58,27 +96,23 @@ class HornVerdict:
 
 
 class HornTable:
-    """Memoized map (d, r, s) -> member tuples of Horn(d, r, s) with edims.
+    """Memoized Horn levels (d, r, s): canonical index rows with their edims.
 
-    Entries are complete lists (every member tuple, not just class
-    representatives), in lexicographic order.  Once built a level is never
-    mutated, so completed tables may be read concurrently.
+    A level is scanned for its edim-0 slice or, for enumeration, in full,
+    with the per-part tables D kept per (m, d, r); a scan that would test
+    over ``MAX_CANDIDATES`` rows raises ``BudgetError``.  Tuples list every
+    permutation, in lexicographic order.  Built levels are never mutated.
     """
 
     def __init__(self):
-        self._members: dict[tuple[int, int, int], list[tuple[PositionTuple, int]]] = {}
+        self._rows: dict[tuple[int, int, int], Rows] = {}  # full levels
+        self._zero_rows: dict[tuple[int, int, int], Rows] = {}
         self._zero: dict[tuple[int, int, int], list[PositionTuple]] = {}
+        self._dims: dict[tuple[int, int, int], list[list[int]]] = {}
         self.kirwan_systems: dict[tuple[int, int], list] = {}  # filled by horncalc.kirwan
 
     def members(self, d: int, r: int, s: int) -> list[tuple[PositionTuple, int]]:
-        if not (1 <= d <= r):
-            raise DomainError(f"need 1 <= d <= r, got d={d}, r={r}")
-        if s < 1:
-            raise DomainError(f"need s >= 1, got {s}")
-        key = (d, r, s)
-        if key not in self._members:
-            self._build(key)
-        return self._members[key]
+        return _tuples(d, r, _expand(self._level((d, r, s), full=True)))
 
     def zero_slice(self, d: int, r: int, s: int) -> list[PositionTuple]:
         if d == r:
@@ -87,34 +121,57 @@ class HornTable:
             return [PositionTuple((full,) * s)]
         key = (d, r, s)
         if key not in self._zero:
-            self.members(d, r, s)
+            self._zero[key] = [t for t, _ in _tuples(d, r, _expand(self._level(key)))]
         return self._zero[key]
 
-    def keys(self):
-        return sorted(self._members)
+    def _level(self, key: tuple[int, int, int], full: bool = False) -> Rows:
+        store = self._rows if full else self._zero_rows
+        if key not in store:
+            if not (1 <= key[0] <= key[1] and key[2] >= 1):
+                raise DomainError(f"need 1 <= cardinality <= ground and s >= 1, got {key}")
+            self._build(key, full=full)  # by keyword: wrappers see (self, key)
+        return store[key]
 
-    def _build(self, key: tuple[int, int, int]):
+    def _build(self, key: tuple[int, int, int], full: bool = False):
+        """Scan one level for its edim-0 rows, or for all its rows if ``full``."""
         d, r, s = key
-        # Recursion closure: levels (m, d, s), 0 < m < d, must exist first.
-        zero_slices = [self.zero_slice(m, d, s) for m in range(1, d)]
-        members: list[tuple[PositionTuple, int]] = []
-        zeros: list[PositionTuple] = []
-        for parts in itertools.product(enumerate_subsets(d, r), repeat=s):
-            tup = PositionTuple(parts)
-            e = tup.edim()
-            if e < 0:
-                continue
-            if any(
-                tup.compose(j).edim() < 0
-                for slice_ in zero_slices
-                for j in slice_
-            ):
-                continue
-            members.append((tup, e))
-            if e == 0:
-                zeros.append(tup)
-        self._members[key] = members
-        self._zero[key] = zeros
+        cell = d * (r - d)
+        codims = [sub.codim() for sub in enumerate_subsets(d, r)]
+        if (tested := _count(codims, cell, s, full)) > MAX_CANDIDATES:
+            raise BudgetError(f"Horn level {key} would test {tested} candidates, over {MAX_CANDIDATES}")
+        # vecs[k][i]: D of subset i as part k against each row of the slices
+        # below, less (s-1) m(r-m) in part 0, after a sentinel 0 for d = 1
+        vecs = [[[0] for _ in codims] for _ in range(s)]
+        for m in range(1, d):
+            if (m, d, r) not in self._dims:  # D[i][j] = dim(I o J), by lex index
+                inner, base = list(itertools.combinations(range(d), m)), m * (m + 1) // 2
+                outer = itertools.combinations(range(1, r + 1), d)
+                self._dims[(m, d, r)] = [[sum(big[j] for j in small) - base for small in inner] for big in outer]
+            cut = (s - 1) * m * (r - m)
+            for k, col in enumerate(zip(*(row for row, _ in _expand(self._level((m, d, s)))))):
+                for vec, dims in zip(vecs[k], self._dims[(m, d, r)]):
+                    vec += [dims[j] - cut for j in col] if k == 0 else [dims[j] for j in col]
+        # fits[b]: subsets within a budget b; the last part must use it up unless full
+        fits = [[i for i, c in enumerate(codims) if c <= b] for b in range(cell + 1)]
+        last = fits if full else [[i for i in fits[b] if codims[i] == b] for b in range(cell + 1)]
+        rows: Rows = []
+        stack = [((), cell, [0] * len(vecs[0][0]))]  # depth first, s parts deep
+        while stack:
+            row, left, acc = stack.pop()  # acc: the vectors of row's parts but the last
+            k = len(row)
+            pool = (last if k == s - 1 else fits)[left]
+            pool = pool[bisect_left(pool, row[-1] if row else 0):]
+            if pool and row:
+                acc = list(map(add, acc, vecs[k - 1][row[-1]]))
+            for i in pool:
+                if k < s - 1:
+                    stack.append((row + (i,), left - codims[i], acc))
+                elif min(map(add, acc[:HEAD], vecs[k][i])) >= 0 and min(map(add, acc, vecs[k][i])) >= 0:
+                    rows.append((row + (i,), left - codims[i]))
+        rows.sort()
+        if full:
+            self._rows[key] = rows
+        self._zero_rows[key] = [(row, e) for row, e in rows if e == 0]
 
 
 def horn_member(tup: PositionTuple, cache: HornTable) -> HornVerdict:
@@ -144,11 +201,7 @@ def is_intersecting_exact(tup: PositionTuple, cache: HornTable) -> bool:
 
 def horn_enumerate(r: int, n: int, s: int, cache: HornTable) -> list[tuple[PositionTuple, int]]:
     """Every member of Horn(r, n, s) with its edim, in lexicographic order."""
-    if not (1 <= r <= n):
-        raise DomainError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if s < 1:
-        raise DomainError(f"need s >= 1, got {s}")
-    return list(cache.members(r, n, s))
+    return cache.members(r, n, s)
 
 
 def horn_classes(r: int, n: int, s: int, cache: HornTable) -> list[tuple[PositionTuple, int]]:
@@ -157,10 +210,7 @@ def horn_classes(r: int, n: int, s: int, cache: HornTable) -> list[tuple[Positio
     Returns canonical representatives (parts sorted lexicographically) with
     their edims, sorted lexicographically; this is the Appendix-style view.
     """
-    seen: dict[PositionTuple, int] = {}
-    for tup, e in horn_enumerate(r, n, s, cache):
-        seen.setdefault(tup.canonical(), e)
-    return sorted(seen.items(), key=lambda item: item[0].sort_key())
+    return _tuples(r, n, cache._level((r, n, s), full=True))
 
 
 def horn0(d: int, r: int, s: int, cache: HornTable) -> list[PositionTuple]:

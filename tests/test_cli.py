@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -77,12 +78,54 @@ class TestHornCommands:
         ["intersect", "certify", "--n", "4", "--tuple", "[[1,4],[2,4]]", "--prime", "318665857834031151167461"],
         # a flag the subcommand does not read
         ["horn", "check", "--n", "4", "--tuple", "[[1,4],[2,4]]", "--budget", "5"],
+        # FLAT names a matrix file that holds the JSON list [1,2,3]
+        ["pos", "compute", "--flag", "FLAT", "--subspace", "FLAT"],
+        ["hn", "search", "--r", "2", "--theta", '[["a",1],[0,0],[0,0]]'],
+        ["variational", "demo", "--r", "3", "--j", "[1]", "--xi", '["a",1,2]'],
     ],
 )
-def test_bad_arguments_exit_2(capsys, argv):
-    assert main(argv) == 2
+def test_bad_arguments_exit_2(capsys, tmp_path, argv):
+    flat = tmp_path / "flat.json"
+    flat.write_text("[1,2,3]")
+    assert main([str(flat) if a == "FLAT" else a for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_malformed_json_arguments_exit_2(capsys, tmp_path):
+    # every JSON flag, each with wrong nesting, a wrong entry type or a
+    # non-list, is a usage error and never reaches the internal path
+    flags = [
+        (["horn", "check", "--n", "4", "--tuple"], 2),
+        (["intersect", "certify", "--n", "4", "--tuple"], 2),
+        (["delta", "eval", "--n", "4", "--tuple"], 2),
+        (["kirwan", "check", "--xi"], 2),
+        (["lr", "nonzero", "--lambda"], 2),
+        (["cell", "sample", "--n", "4", "--subset"], 1),
+        (["hn", "search", "--r", "2", "--theta"], 2),
+        (["variational", "demo", "--r", "3", "--j"], 1),
+        (["variational", "demo", "--r", "3", "--j", "[1]", "--xi"], 1),
+    ]
+    for prefix, depth in flags:
+        inner = "[1,2]" if depth == 2 else "1"
+        for bad in ["null", '"x"', "{}", "[" * (depth + 1) + "1" + "]" * (depth + 1),
+                    "[" + inner + ',"a"]', "[" * depth + '"1/0"' + "]" * depth, "[" * depth + "1e400" + "]" * depth]:
+            assert main(prefix + [bad]) == 2, prefix + [bad]
+            assert "Traceback" not in capsys.readouterr().err
+    matrix = tmp_path / "m.json"
+    for bad in [{"field": "rational"}, {"field": {"prime": [7]}, "entries": [[1]]},
+                {"field": "rational", "entries": [["1/0"]]}, {"field": "rational", "entries": [[[1]]]}]:
+        matrix.write_text(json.dumps(bad))
+        assert main(["pos", "compute", "--flag", str(matrix), "--subspace", str(matrix)]) == 2, bad
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unbounded_horn_scan_exits_2(capsys):
+    # Horn(6, 14, 3) has 180,270,006 canonical candidates, far over the budget
+    start = time.perf_counter()
+    assert main(["horn", "enumerate", "--r", "6", "--n", "14"]) == 2
+    assert time.perf_counter() - start < 10.0
+    assert "candidates" in capsys.readouterr().err
 
 
 def test_internal_failure_exits_3(capsys, monkeypatch):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from horncalc.errors import DomainError
+from horncalc import horn
+from horncalc.errors import BudgetError, DomainError
 from horncalc.horn import HornTable, horn0, horn_classes, horn_enumerate, horn_member, is_intersecting_exact
 from horncalc.subsets import CardSubset, PositionTuple, enumerate_subsets
 from horncalc.tables import APPENDIX_A_KEYS, appendix_a_tuple
@@ -10,6 +11,20 @@ from horncalc.tables import APPENDIX_A_KEYS, appendix_a_tuple
 
 def pt(n, *parts):
     return PositionTuple.from_lists(n, parts)
+
+
+def reference_members(d, r, s, memo):
+    """The product-loop recursion: every ordered tuple, composed as PositionTuples."""
+    key = (d, r, s)
+    if key not in memo:
+        zero = [j for m in range(1, d) for j, e in reference_members(m, d, s, memo) if e == 0]
+        memo[key] = []
+        for parts in itertools.product(enumerate_subsets(d, r), repeat=s):
+            tup = PositionTuple(parts)
+            e = tup.edim()
+            if e >= 0 and all(tup.compose(j).edim() >= 0 for j in zero):
+                memo[key].append((tup, e))
+    return memo[key]
 
 
 class TestMembership:
@@ -167,3 +182,62 @@ class TestStructuralProperties:
                 assert j in horn0(v.violation.d, tup.cardinality, tup.s, cache)
                 assert j.edim() == 0
                 assert tup.compose(j).edim() == v.violation.edim_value < 0
+
+
+class TestCanonicalBuild:
+    def test_matches_product_loop_reference(self):
+        memo, full, zero = {}, HornTable(), HornTable()
+        for s in (1, 2, 3, 4):
+            for r in range(1, 6):
+                for d in range(1, r + 1):
+                    expected = reference_members(d, r, s, memo)
+                    assert full.members(d, r, s) == expected
+                    classes = {(t.canonical(), e) for t, e in expected}
+                    assert horn_classes(d, r, s, full) == sorted(classes, key=lambda c: c[0].sort_key())
+                    # slices built on their own and read off full levels agree
+                    want = [t for t, e in expected if e == 0]
+                    assert zero.zero_slice(d, r, s) == full.zero_slice(d, r, s) == want
+        # many equal parts: s! orderings, few distinct ones
+        for d, r, s in [(1, 2, 12), (2, 3, 7)]:
+            expected = reference_members(d, r, s, memo)
+            assert full.members(d, r, s) == expected
+            assert zero.zero_slice(d, r, s) == [t for t, e in expected if e == 0]
+
+    def test_zero_slice_sizes(self):
+        table = HornTable()
+        assert [len(horn0(d, 7, 3, table)) for d in range(1, 7)] == [28, 252, 751, 751, 252, 28]
+        assert [len(horn0(d, 8, 3, table)) for d in range(1, 8)] == [36, 462, 2120, 3516, 2120, 462, 36]
+
+    def test_duality(self):
+        # Gr(d, r) = Gr(r - d, r) maps the position I to {r + 1 - x : x not in I}
+        table = HornTable()
+        for r in range(2, 9):
+            for d in range(1, r):
+                mirror = {
+                    tuple(tuple(sorted(r + 1 - x for x in p.complement())) for p in t.parts)
+                    for t in horn0(d, r, 3, table)
+                }
+                assert mirror == {t.sort_key() for t in horn0(r - d, r, 3, table)}
+
+    def test_candidate_count(self):
+        for d, r, s in [(1, 4, 1), (2, 5, 3), (3, 6, 3), (2, 5, 4), (4, 4, 2)]:
+            cell = d * (r - d)
+            codims = [p.codim() for p in enumerate_subsets(d, r)]
+            sums = [sum(c) for c in itertools.combinations_with_replacement(codims, s)]
+            assert horn._count(codims, cell, s, True) == sum(x <= cell for x in sums)
+            assert horn._count(codims, cell, s, False) == sums.count(cell)
+
+    def test_budget(self, monkeypatch):
+        # the full level (4, 8, 3) tests exactly 6,589 canonical candidates
+        monkeypatch.setattr(horn, "MAX_CANDIDATES", 6589)
+        assert len(horn_classes(4, 8, 3, HornTable())) > 0
+        monkeypatch.setattr(horn, "MAX_CANDIDATES", 6588)
+        with pytest.raises(BudgetError):
+            horn_classes(4, 8, 3, HornTable())
+
+    def test_default_budget(self):
+        # 4,654,987 candidates; refused before any level is scanned
+        table = HornTable()
+        with pytest.raises(BudgetError):
+            horn_enumerate(5, 12, 3, table)
+        assert not table._rows and not table._zero_rows
