@@ -13,6 +13,9 @@ only (nondecreasing indices into the lex-ordered d-subsets of [r]), with a
 codimension budget that starts at d(r - d) and leaves each row's edim.  The
 composition test separates by part, edim(I o J) = sum_k D[I_k][J_k] -
 (s-1) m(r-m) with D[I][J] = dim(I o J): one precomputed vector per part.
+Levels with 2d > r scan nothing: V -> V^perp sends the position J in
+Gr(r - d, r) to J* = {r + 1 - x : x not in J} in Gr(d, r), of the same
+dimension, so they are images of levels (r - d, r, s) (Belkale 2006).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import BudgetError, DomainError, ShapeError
 from .subsets import CardSubset, PositionTuple, enumerate_subsets
@@ -46,18 +49,24 @@ def _count(codims: list[int], cell: int, s: int, full: bool) -> int:
 
 def _expand(rows: Rows) -> Rows:
     """Every distinct permutation of each row, in lexicographic order."""
-    out = set()
+    out = []  # distinct rows are distinct multisets: their permutations never meet
     for row, e in rows:
-        perms = {()}  # inserted part by part, so s! repeats of equal parts never form
-        for x in row:
-            perms = {p[:k] + (x,) + p[k:] for p in perms for k in range(len(p) + 1)}
-        out.update((p, e) for p in perms)
+        if len(set(row)) == len(row):
+            perms = itertools.permutations(row)
+        else:
+            perms = {()}  # inserted part by part, so s! repeats of equal parts never form
+            for x in row:
+                perms = {p[:k] + (x,) + p[k:] for p in perms for k in range(len(p) + 1)}
+        out += [(p, e) for p in perms]
     return sorted(out)
 
 
 def _tuples(d: int, r: int, rows: Rows) -> list[tuple[PositionTuple, int]]:
-    subs = enumerate_subsets(d, r)
-    return [(PositionTuple(tuple(subs[i] for i in row)), e) for row, e in rows]
+    get, new, put, out = enumerate_subsets(d, r).__getitem__, object.__new__, object.__setattr__, []
+    for row, e in rows:  # parts from one subset list: the shape check cannot fail
+        put(tup := new(PositionTuple), "parts", tuple(map(get, row)))
+        out.append((tup, e))
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,11 @@ class HornTable:
     """Memoized Horn levels (d, r, s): canonical index rows with their edims.
 
     A level is scanned for its edim-0 slice or, for enumeration, in full,
-    with the per-part tables D kept per (m, d, r); a scan that would test
-    over ``MAX_CANDIDATES`` rows raises ``BudgetError``.  Tuples list every
-    permutation, in lexicographic order.  Built levels are never mutated.
+    with the per-part tables D kept per (m, d, r); a level with 2d > r is
+    its mirror (r - d, r, s) mapped through J -> J*.  A query that would scan
+    over ``MAX_CANDIDATES`` rows at a level raises ``BudgetError`` first.
+    Tuples list every permutation, in lexicographic order, and skip validation
+    (their parts come from ``enumerate_subsets``).  Built levels never change.
     """
 
     def __init__(self):
@@ -109,6 +120,8 @@ class HornTable:
         self._zero_rows: dict[tuple[int, int, int], Rows] = {}
         self._zero: dict[tuple[int, int, int], list[PositionTuple]] = {}
         self._dims: dict[tuple[int, int, int], list[list[int]]] = {}
+        self._duals: dict[tuple[int, int], list[int]] = {}
+        self._checked: set[tuple[tuple[int, int, int], bool]] = set()  # (key, full) within budget
         self.kirwan_systems: dict[tuple[int, int], list] = {}  # filled by horncalc.kirwan
 
     def members(self, d: int, r: int, s: int) -> list[tuple[PositionTuple, int]]:
@@ -129,16 +142,44 @@ class HornTable:
         if key not in store:
             if not (1 <= key[0] <= key[1] and key[2] >= 1):
                 raise DomainError(f"need 1 <= cardinality <= ground and s >= 1, got {key}")
+            self.check_budget([key], full)
             self._build(key, full=full)  # by keyword: wrappers see (self, key)
         return store[key]
 
+    def check_budget(self, keys: Iterable[tuple[int, int, int]], full: bool = False):
+        """Raise ``BudgetError`` before any scan if these levels need one over ``MAX_CANDIDATES``."""
+        for key in keys:
+            d, r, s = key
+            if (key, full) in self._checked or key in (self._rows if full else self._zero_rows):
+                continue
+            if d < r < 2 * d:  # a mirrored level scans its source
+                self.check_budget([(r - d, r, s)], full)
+                continue
+            self.check_budget([(m, d, s) for m in range(1, d)])
+            tested = _count([p.codim() for p in enumerate_subsets(d, r)], d * (r - d), s, full)
+            if tested > MAX_CANDIDATES:
+                raise BudgetError(f"Horn level {key} would test {tested} candidates, over {MAX_CANDIDATES}")
+            self._checked.add((key, full))
+
     def _build(self, key: tuple[int, int, int], full: bool = False):
-        """Scan one level for its edim-0 rows, or for all its rows if ``full``."""
+        """Build one level: its edim-0 rows, or all its rows if ``full``."""
         d, r, s = key
+        if d < r < 2 * d:  # the image of level (r - d, r, s) under J -> J*
+            if (dual := self._duals.get((d, r))) is None:  # lex index of J -> lex index of J*
+                ground = range(1, r + 1)
+                index = {c: i for i, c in enumerate(itertools.combinations(ground, d))}
+                stars = (tuple(y for y in ground if r + 1 - y not in c) for c in itertools.combinations(ground, r - d))
+                dual = self._duals[(d, r)] = [index[c] for c in stars]
+            rows = sorted((tuple(sorted(dual[i] for i in row)), e) for row, e in self._level((r - d, r, s), full=full))
+        else:
+            rows = self._scan(d, r, s, full)
+        if full:
+            self._rows[key] = rows
+        self._zero_rows[key] = [(row, e) for row, e in rows if e == 0]
+
+    def _scan(self, d: int, r: int, s: int, full: bool) -> Rows:
         cell = d * (r - d)
         codims = [sub.codim() for sub in enumerate_subsets(d, r)]
-        if (tested := _count(codims, cell, s, full)) > MAX_CANDIDATES:
-            raise BudgetError(f"Horn level {key} would test {tested} candidates, over {MAX_CANDIDATES}")
         # vecs[k][i]: D of subset i as part k against each row of the slices
         # below, less (s-1) m(r-m) in part 0, after a sentinel 0 for d = 1
         vecs = [[[0] for _ in codims] for _ in range(s)]
@@ -168,10 +209,7 @@ class HornTable:
                     stack.append((row + (i,), left - codims[i], acc))
                 elif min(map(add, acc[:HEAD], vecs[k][i])) >= 0 and min(map(add, acc, vecs[k][i])) >= 0:
                     rows.append((row + (i,), left - codims[i]))
-        rows.sort()
-        if full:
-            self._rows[key] = rows
-        self._zero_rows[key] = [(row, e) for row, e in rows if e == 0]
+        return sorted(rows)
 
 
 def horn_member(tup: PositionTuple, cache: HornTable) -> HornVerdict:
@@ -182,6 +220,7 @@ def horn_member(tup: PositionTuple, cache: HornTable) -> HornVerdict:
     e = tup.edim()
     if e < 0:
         return HornVerdict(False, e, HornViolation("edim", None, None, e))
+    cache.check_budget((d, r, s) for d in range(1, r))
     for d in range(1, r):
         for j in cache.zero_slice(d, r, s):
             comp_edim = tup.compose(j).edim()

@@ -79,6 +79,7 @@ def kirwan_inequality_set(r: int, s: int, cache: HornTable) -> list[tuple[int, P
         raise DomainError(f"need r >= 1, got {r}")
     if s < 2:
         raise DomainError(f"need s >= 2, got {s}")
+    cache.check_budget((d, r, s) for d in range(1, r))
     out = []
     for d in range(1, r):
         out.extend((d, j) for j in horn0(d, r, s, cache))

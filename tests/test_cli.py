@@ -128,6 +128,22 @@ def test_unbounded_horn_scan_exits_2(capsys):
     assert "candidates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horn", "check", "--n", "24", "--tuple", json.dumps([list(range(13, 25))] * 3)],
+        ["kirwan", "ineqs", "--r", "12"],
+    ],
+)
+def test_over_budget_query_exits_2_before_scanning(capsys, argv):
+    # the (6, 12, 3) slice tests 1,252,473 candidates; the query is refused
+    # before any level is scanned, not after the r <= 11 slices are built
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "candidates" in capsys.readouterr().err
+
+
 def test_internal_failure_exits_3(capsys, monkeypatch):
     def broken(*_args):
         raise KeyError("boom")

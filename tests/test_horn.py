@@ -186,9 +186,10 @@ class TestStructuralProperties:
 
 class TestCanonicalBuild:
     def test_matches_product_loop_reference(self):
+        # r = 6 at s = 3 checks the mirrored levels (4, 6, 3) and (5, 6, 3)
         memo, full, zero = {}, HornTable(), HornTable()
-        for s in (1, 2, 3, 4):
-            for r in range(1, 6):
+        for s, top in [(1, 5), (2, 5), (3, 6), (4, 5)]:
+            for r in range(1, top + 1):
                 for d in range(1, r + 1):
                     expected = reference_members(d, r, s, memo)
                     assert full.members(d, r, s) == expected
@@ -219,6 +220,15 @@ class TestCanonicalBuild:
                 }
                 assert mirror == {t.sort_key() for t in horn0(r - d, r, 3, table)}
 
+    def test_mirrored_levels_scan_nothing(self, monkeypatch):
+        scanned, scan = [], HornTable._scan
+        monkeypatch.setattr(HornTable, "_scan", lambda t, d, r, s, full: scanned.append((d, r)) or scan(t, d, r, s, full))
+        table = HornTable()
+        horn_classes(5, 7, 3, table)
+        assert horn_member(pt(8, *[[4, 5, 6, 7, 8]] * 3), table).member
+        assert (2, 7) in scanned and (2, 5) in scanned and (5, 7) not in scanned
+        assert all(2 * d <= r or d == r for d, r in scanned)
+
     def test_candidate_count(self):
         for d, r, s in [(1, 4, 1), (2, 5, 3), (3, 6, 3), (2, 5, 4), (4, 4, 2)]:
             cell = d * (r - d)
@@ -241,3 +251,45 @@ class TestCanonicalBuild:
         with pytest.raises(BudgetError):
             horn_enumerate(5, 12, 3, table)
         assert not table._rows and not table._zero_rows
+        # (7, 12, 3) is the mirror of (5, 12, 3) and scans it, so it is refused alike
+        with pytest.raises(BudgetError, match=r"\(5, 12, 3\) would test 4654987 candidates"):
+            horn_classes(7, 12, 3, table)
+        assert not table._rows and not table._zero_rows
+
+    def test_query_budget(self):
+        # the slices below r = 11 test at most 205,404 candidates a level;
+        # (6, 12, 3) tests 1,252,473, so an r = 12 query is refused up front
+        table = HornTable()
+        table.check_budget((d, 11, 3) for d in range(1, 11))
+        top = PositionTuple((CardSubset(24, tuple(range(13, 25))),) * 3)
+        with pytest.raises(BudgetError, match=r"\(6, 12, 3\) would test 1252473 candidates"):
+            horn_member(top, table)
+        assert not table._rows and not table._zero_rows
+
+    def test_boundary_tuples_equal_validated_ones(self):
+        # zero_slice and horn_classes build their tuples without validation
+        table = HornTable()
+        for r in range(1, 8):
+            for d in range(1, r + 1):
+                for t in table.zero_slice(d, r, 3):
+                    assert t == PositionTuple(t.parts) and hash(t) == hash(PositionTuple(t.parts))
+        shapes = [(1, 6, 5), (2, 4, 5), (2, 5, 4), (2, 7, 3), (3, 6, 3), (3, 5, 4), (2, 8, 3), (4, 6, 3), (2, 6, 4)]
+        for d, r, s in shapes:
+            for t, _ in horn_classes(d, r, s, table):
+                assert t == PositionTuple(t.parts) and hash(t) == hash(PositionTuple(t.parts))
+                assert t.canonical() == t
+
+    def test_mirrored_witnesses_recheck(self):
+        # witnesses at d = 2 > r / 2 come from a mirrored slice
+        table, mirrored = HornTable(), 0
+        for parts in itertools.product(enumerate_subsets(3, 5), repeat=3):
+            tup = PositionTuple(parts)
+            v = horn_member(tup, table)
+            if v.member or v.violation.kind == "edim":
+                continue
+            j = v.violation.j_tuple
+            mirrored += v.violation.d == 2
+            assert j == PositionTuple(j.parts) and j in horn0(v.violation.d, 3, 3, table)
+            assert j.edim() == 0
+            assert tup.compose(j).edim() == v.violation.edim_value < 0
+        assert mirrored > 0
