@@ -27,15 +27,7 @@ from .subsets import (
     CardSubset,
     PositionTuple,
     Weight,
-    compose,
-    complement,
-    dim_subset,
-    edim,
     enumerate_subsets,
-    exponent,
-    lambda_of_subset,
-    quotient,
-    shuffle_permutation,
     slope,
     subset_of_lambda,
     weights_of_tuple,
@@ -47,7 +39,6 @@ from .tangent import (
     certify_intersecting,
     delta_determinant,
     h_intersection_dim,
-    h_intersection_space,
     h_space_basis,
     phi_in_h_space,
     tdim_estimate,

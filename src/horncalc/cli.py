@@ -45,19 +45,15 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed JSON in {what} at position {exc.pos}: {exc.msg}") from exc
+        raise DomainError(f"malformed JSON in {what} at position {exc.pos}: {exc.msg}") from exc
 
 
 def _checked(value, depth: int, entry, what: str):
@@ -102,9 +98,9 @@ def _load_matrix_file(path: str) -> tuple[object, Mat]:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise DomainError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
+        raise DomainError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
     if not (isinstance(obj, dict) and {"field", "entries"} <= obj.keys()):
         raise ShapeError(f"bad matrix file {path}: expected an object with \"field\" and \"entries\"")
     field = field_from_tag(obj["field"])
@@ -259,7 +255,7 @@ def _cmd_pos_compute(args) -> int:
     field_f, flag_mat = _load_matrix_file(args.flag)
     field_s, sub_mat = _load_matrix_file(args.subspace)
     if field_f != field_s:
-        raise _UsageError("flag and subspace files use different fields")
+        raise DomainError("flag and subspace files use different fields")
     flag = Flag(field_f, flag_mat)
     pos = position(SubspaceBasis(field_s, sub_mat), flag)
     _emit({"position": list(pos.elements), "ground": pos.ground})
@@ -271,9 +267,10 @@ def _cmd_cell_sample(args) -> int:
     field = _field_from_args(args, default="rational")
     rng = rngmod.spawn(args.seed, 0)
     if args.flag:
-        ffield, fmat = _load_matrix_file(args.flag)
-        if ffield != field:
-            field = ffield
+        flag_field, fmat = _load_matrix_file(args.flag)
+        if flag_field != field and (args.field is not None or args.prime is not None):
+            raise DomainError("the --flag file's field differs from the --field/--prime given")
+        field = flag_field
         flag = Flag(field, fmat)
     else:
         flag = Flag.standard(field, args.n)
@@ -440,13 +437,14 @@ def _add_seed(parser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
 
 
-def _add_format(parser) -> None:
-    parser.add_argument("--format", choices=["json", "csv", "tex", "text"], default="json")
+def _add_format(parser, *formats) -> None:
+    parser.add_argument("--format", choices=formats, default="json")
 
 
 def _add_field(parser) -> None:
-    parser.add_argument("--prime", type=int, default=None, help="use GF(p) with this prime")
-    parser.add_argument(
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--prime", type=int, default=None, help="use GF(p) with this prime")
+    group.add_argument(
         "--field",
         choices=["rational", "sqrt5", "prime"],
         default=None,
@@ -466,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, default=3)
-    _add_format(p)
-    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored; enumeration runs in one thread")
+    _add_format(p, "json", "csv", "tex", "text")
     p.set_defaults(func=_cmd_horn_enumerate)
     p = horn.add_parser("check")
     p.add_argument("--n", type=int, required=True)
@@ -493,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = kirwan.add_parser("ineqs")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, default=3)
-    _add_format(p)
+    _add_format(p, "json", "csv", "tex", "text")
     p.set_defaults(func=_cmd_kirwan_ineqs)
     p = kirwan.add_parser("check")
     p.add_argument("--xi", required=True)
@@ -548,10 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables").add_subparsers(dest="action", required=True)
     p = tables.add_parser("appendix-a")
-    _add_format(p)
+    _add_format(p, "json", "tex", "text")
     p.set_defaults(func=_cmd_tables_a)
     p = tables.add_parser("appendix-b")
-    _add_format(p)
+    _add_format(p, "json", "text")
     p.set_defaults(func=_cmd_tables_b)
 
     fixtures = sub.add_parser("fixtures").add_subparsers(dest="action", required=True)
@@ -570,7 +567,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (_UsageError, DomainError, ShapeError, BudgetError) as exc:
+    except (DomainError, ShapeError, BudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except Exception:

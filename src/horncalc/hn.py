@@ -80,6 +80,8 @@ def hn_minimizer_exhaustive(
     if not isinstance(field, PrimeField):
         raise DomainError("exhaustive search needs a prime field")
     r = flags[0].space_dim
+    if r < 1:
+        raise DomainError(f"need a nonzero space to search, got dimension {r}")
     if any(fl.space_dim != r or fl.field != field for fl in flags):
         raise ShapeError("all flags must share dimension and field")
     if len(thetas) != len(flags):

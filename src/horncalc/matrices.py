@@ -86,11 +86,6 @@ class Mat:
             raise ShapeError("hstack needs matching row counts and field")
         return Mat(self.field, [a + b for a, b in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
-    def vstack(self, other: "Mat") -> "Mat":
-        if other.ncols != self.ncols or other.field != self.field:
-            raise ShapeError("vstack needs matching column counts and field")
-        return Mat(self.field, self.rows + other.rows, self.ncols)
-
     def mul(self, other: "Mat") -> "Mat":
         if other.nrows != self.ncols or other.field != self.field:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")

@@ -8,12 +8,12 @@ The three partial operations ``compose``, ``quotient`` and ``exponent`` mirror
 how positions of subspaces behave under restriction, passing to a subquotient,
 and composing with a map whose kernel has a known position:
 
-    compose(I, J)  = { I(J(b)) }                           subset of [n]
-    quotient(I, J) = { I(Jc(b)) - Jc(b) + b }              subset of [n-d]
-    exponent(I, J) = { I(J(b)) - J(b) + b }                subset of [n-(r-d)]
+    I.compose(J)  = { I(J(b)) }                            subset of [n]
+    I.quotient(J) = { I(Jc(b)) - Jc(b) + b }               subset of [n-d]
+    I.exponent(J) = { I(J(b)) - J(b) + b }                 subset of [n-(r-d)]
 
-with J a d-subset of [r] and Jc its complement in [r].  ``exponent(I, J)``
-always equals ``quotient(I, complement(J))``.
+with J a d-subset of [r] and Jc its complement in [r].  ``I.exponent(J)``
+always equals ``I.quotient(J.complement())``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ShapeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CardSubset:
     """A strictly increasing subset of [ground], possibly empty or full."""
 
@@ -102,45 +102,12 @@ class CardSubset:
         """Dominant weight with entries a - I(a), each in [r - n, 0]."""
         return Weight(tuple(a - x for a, x in enumerate(self.elements, start=1)))
 
-    def indicator(self) -> tuple[int, ...]:
-        """0/1 vector of length ground with ones at the subset positions."""
-        inside = set(self.elements)
-        return tuple(1 if x in inside else 0 for x in range(1, self.ground + 1))
-
     def to_json(self) -> dict:
         return {"ground": self.ground, "elements": list(self.elements)}
 
     @classmethod
     def from_json(cls, obj) -> "CardSubset":
         return cls(int(obj["ground"]), tuple(int(x) for x in obj["elements"]))
-
-
-def dim_subset(subset: CardSubset) -> int:
-    return subset.dim()
-
-
-def complement(subset: CardSubset) -> CardSubset:
-    return subset.complement()
-
-
-def compose(outer: CardSubset, inner: CardSubset) -> CardSubset:
-    return outer.compose(inner)
-
-
-def quotient(outer: CardSubset, inner: CardSubset) -> CardSubset:
-    return outer.quotient(inner)
-
-
-def exponent(outer: CardSubset, inner: CardSubset) -> CardSubset:
-    return outer.exponent(inner)
-
-
-def shuffle_permutation(subset: CardSubset) -> tuple[int, ...]:
-    return subset.shuffle_permutation()
-
-
-def lambda_of_subset(subset: CardSubset) -> "Weight":
-    return subset.lambda_weight()
 
 
 def enumerate_subsets(cardinality: int, ground: int) -> list[CardSubset]:
@@ -150,7 +117,7 @@ def enumerate_subsets(cardinality: int, ground: int) -> list[CardSubset]:
     return [CardSubset(ground, c) for c in itertools.combinations(range(1, ground + 1), cardinality)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """Integer weight vector; dominance is checked on demand, not enforced."""
 
@@ -199,7 +166,7 @@ def subset_of_lambda(weight: Weight, ground: int) -> CardSubset:
     return CardSubset(ground, tuple(a - weight(a) for a in range(1, r + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PositionTuple:
     """An s-tuple of same-shape subsets; one position per flag."""
 
@@ -275,10 +242,6 @@ class PositionTuple:
     @classmethod
     def from_json(cls, obj) -> "PositionTuple":
         return cls.from_lists(int(obj["n"]), obj["parts"])
-
-
-def edim(tup: PositionTuple) -> int:
-    return tup.edim()
 
 
 def weights_of_tuple(tup: PositionTuple) -> list[Weight]:

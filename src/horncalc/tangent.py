@@ -134,14 +134,6 @@ def _joint_constraints(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
     return Mat(fld, rows, r * q)
 
 
-def h_intersection_space(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> list[Mat]:
-    """Basis of the joint space \\cap_k H_{I_k}(F_k, G_k)."""
-    fld = f_flags[0].field
-    r, q = tup.cardinality, tup.ground - tup.cardinality
-    vecs = kernel_basis(_joint_constraints(tup, f_flags, g_flags))
-    return [_vec_to_mat(fld, v, r, q) for v in vecs]
-
-
 def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> int:
     """Exact dimension of the joint solution space; always >= edim."""
     return len(kernel_basis(_joint_constraints(tup, f_flags, g_flags)))

@@ -9,6 +9,7 @@ everything else is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -85,6 +86,12 @@ def variational_check(
     import numpy as np
     xi = [float(x) for x in xi]
     r = len(xi)
+    if not math.isfinite(r * sum(map(abs, xi))):
+        raise DomainError("spectrum must be finite, with r * sum(|xi|) inside the float range")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials}")
     if any(a < b for a, b in zip(xi, xi[1:])):
         raise DomainError("spectrum must be nonincreasing")
     if not isinstance(subset, CardSubset):

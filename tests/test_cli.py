@@ -38,11 +38,6 @@ class TestHornCommands:
             {"tuple": [[2], [2], [2]], "edim": 1},
         ]
 
-    def test_enumerate_jobs_flag(self, capsys):
-        base = run(capsys, "horn", "enumerate", "--r", "2", "--n", "4", "--s", "3")
-        par = run(capsys, "horn", "enumerate", "--r", "2", "--n", "4", "--s", "3", "--jobs", "4")
-        assert base == par
-
     def test_enumerate_csv(self, capsys):
         code, out = run(capsys, "horn", "enumerate", "--r", "1", "--n", "2", "--s", "3", "--format", "csv")
         assert code == 0
@@ -82,6 +77,19 @@ class TestHornCommands:
         ["pos", "compute", "--flag", "FLAT", "--subspace", "FLAT"],
         ["hn", "search", "--r", "2", "--theta", '[["a",1],[0,0],[0,0]]'],
         ["variational", "demo", "--r", "3", "--j", "[1]", "--xi", '["a",1,2]'],
+        # options or formats the command does not act on
+        ["horn", "enumerate", "--r", "2", "--n", "4", "--jobs", "4"],
+        ["tables", "appendix-a", "--format", "csv"],
+        ["tables", "appendix-b", "--format", "tex"],
+        # --field and --prime exclude each other
+        ["intersect", "certify", "--n", "4", "--tuple", "[[1,4],[2,4]]", "--field", "rational", "--prime", "7"],
+        ["cell", "sample", "--n", "3", "--subset", "[1]", "--prime", "7", "--field", "prime"],
+        # GF(q)^0 has no nonzero subspace to minimize over
+        ["hn", "search", "--r", "0"],
+        # non-finite or negative variational inputs of the right length
+        ["variational", "demo", "--r", "3", "--j", "[1]", "--xi", "[1e400,0,0]"],
+        ["variational", "demo", "--r", "3", "--j", "[1]", "--tolerance", "nan"],
+        ["variational", "demo", "--r", "3", "--j", "[1]", "--trials", "-1"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, tmp_path, argv):
@@ -276,6 +284,18 @@ class TestGeometryCommands:
         code, obj = run_json(capsys, "cell", "sample", "--n", "4", "--subset", "[1,3,4]", "--seed", "3")
         assert code == 0
         assert obj["verified_position"] == [1, 3, 4]
+
+    def test_cell_sample_flag_file_field(self, capsys, tmp_path):
+        flag_file = tmp_path / "flag.json"
+        flag_file.write_text(json.dumps({"field": {"prime": 7}, "entries": [[1, 0, 0], [2, 1, 0], [3, 4, 1]]}))
+        argv = ["cell", "sample", "--n", "3", "--subset", "[2]", "--flag", str(flag_file), "--seed", "3"]
+        # without --field/--prime the file's field is used; a matching one is accepted
+        for extra in ([], ["--prime", "7"]):
+            code, obj = run_json(capsys, *argv, *extra)
+            assert code == 0 and obj["field"] == {"prime": 7} and obj["verified_position"] == [2]
+        for extra in (["--prime", "11"], ["--field", "rational"]):
+            assert main(argv + extra) == 2
+            assert "field" in capsys.readouterr().err
 
     def test_cell_sample_prime_field(self, capsys):
         code, obj = run_json(

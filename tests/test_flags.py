@@ -292,6 +292,11 @@ class TestHarderNarasimhan:
         with pytest.raises(DomainError):
             hn_minimizer_exhaustive([Flag.standard(QQ, 2)], [Weight((0, 0))])
 
+    def test_zero_space_rejected(self):
+        # GF(q)^0 has no nonzero subspace, so there is no minimizer to report
+        with pytest.raises(DomainError):
+            hn_minimizer_exhaustive([Flag.standard(PrimeField(2), 0)], [Weight(())])
+
 
 def test_subspace_in_coordinates_roundtrip():
     rng = rngmod.spawn(19, 0)

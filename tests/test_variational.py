@@ -31,6 +31,24 @@ def test_monotone_spectrum_required():
         variational_check([0.0, 1.0], CardSubset(2, (1,)), trials=1, tolerance=1e-9, seed=4)
 
 
+@pytest.mark.parametrize(
+    "xi, trials, tolerance",
+    [
+        ([float("inf"), 0.0, 0.0], 1, 1e-9),
+        ([float("nan"), 0.0, 0.0], 1, 1e-9),
+        # finite entries whose traces overflow to inf
+        ([1e308, 1e308, 0.0], 1, 1e-9),
+        ([1.0, 0.0, -1.0], 1, float("nan")),
+        ([1.0, 0.0, -1.0], 1, float("inf")),
+        ([1.0, 0.0, -1.0], 1, -1e-9),
+        ([1.0, 0.0, -1.0], -1, 1e-9),
+    ],
+)
+def test_bad_inputs_rejected(xi, trials, tolerance):
+    with pytest.raises(DomainError):
+        variational_check(xi, CardSubset(3, (1,)), trials=trials, tolerance=tolerance, seed=6)
+
+
 def test_deterministic_given_seed():
     xi = [1.0, 0.0, -1.0]
     a = variational_check(xi, CardSubset(3, (2,)), trials=10, tolerance=1e-9, seed=5)
