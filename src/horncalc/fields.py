@@ -142,7 +142,7 @@ class PrimeField:
     def div(self, a, b):
         if b % self.p == 0:
             raise ZeroDivisionError(f"division by zero in {self.name}")
-        return a * pow(b, self.p - 2, self.p) % self.p
+        return a * pow(b, -1, self.p) % self.p
 
     def neg(self, a):
         return -a % self.p

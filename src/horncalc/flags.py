@@ -6,15 +6,17 @@ j-th step of the flag.
 
 ``position`` computes the Schubert position of a subspace by reading off the
 pivot rows of a bottom-pivot column echelon form of the subspace expressed
-in flag coordinates.  The same reduction yields the unique cell-normal-form
-basis (coefficient one on the pivot row, zeros on the other pivot rows and
-below), which is what the induced-flag constructions need.
+in flag coordinates; the forward elimination pass alone finds them.  The
+same reduction, carried through the back pass, yields the unique
+cell-normal-form basis (coefficient one on the pivot row, zeros on the
+other pivot rows and below), which is what the induced-flag constructions
+need.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, ShapeError
-from .matrices import Mat, inverse, random_matrix, rank, rref, solve_exact
+from .matrices import Mat, _eliminate, inverse, random_matrix, rank, rref, solve_exact
 from .subsets import CardSubset
 
 
@@ -101,18 +103,19 @@ class SubspaceBasis:
         return f"SubspaceBasis({self.dim} in {self.ambient_dim}, field={self.field!r})"
 
 
-def _bottom_echelon(field, mat: Mat) -> tuple[list[int], list[list]]:
+def _bottom_echelon(field, mat: Mat, back: bool = True) -> tuple[list[int], list[list]]:
     """Column reduction with pivots at the lowest nonzero rows.
 
     Returns the sorted pivot rows (0-based) and the matching reduced columns:
     pivot entry one, zeros at every other pivot row and below the pivot.
-    This is the reduced row echelon form of the columns read bottom to top.
+    This is the reduced row echelon form of the columns read bottom to top;
+    without ``back`` only the pivot rows are final.
     """
     n = mat.nrows
-    red, pivots = rref(Mat(field, [c[::-1] for c in mat.columns()], n))
+    rows, pivots, _ = _eliminate(field, [c[::-1] for c in mat.columns()], n, back)
     if len(pivots) < mat.ncols:
         raise DomainError("columns are linearly dependent")
-    return [n - 1 - c for c in reversed(pivots)], [row[::-1] for row in reversed(red.rows)]
+    return [n - 1 - c for c in reversed(pivots)], [row[::-1] for row in reversed(rows)]
 
 
 def position(subspace: SubspaceBasis, flag: Flag) -> CardSubset:
@@ -126,7 +129,7 @@ def position(subspace: SubspaceBasis, flag: Flag) -> CardSubset:
     if subspace.dim == 0:
         return CardSubset(flag.space_dim, ())
     coords = flag.inv().mul(subspace.mat)
-    pivots, _ = _bottom_echelon(flag.field, coords)
+    pivots, _ = _bottom_echelon(flag.field, coords, back=False)
     return CardSubset(flag.space_dim, tuple(p + 1 for p in pivots))
 
 

@@ -1,10 +1,11 @@
 """Dense exact matrices over a pluggable field.
 
-Plain Gauss-Jordan elimination: exact fields need no pivoting strategy, and
+Plain Gaussian elimination: exact fields need no pivoting strategy, and
 the whole artifact works at desk scale (n up to a few dozen).  One loop
-serves every field and every caller (``rref``, ``rank``, ``kernel_basis``,
-``inverse``, ``solve_exact``, ``det``); the row updates are the field's own
+serves every field and every caller; the row updates are the field's own
 ``scale_row`` and ``sub_scaled_row``, so GF(p) stays on machine integers.
+``rank`` and ``det`` run only its forward pass; the back pass, clearing
+above each pivot, runs for ``rref`` and the callers that read its rows.
 """
 
 from __future__ import annotations
@@ -159,20 +160,24 @@ def _dot(f, xs, ys):
     return acc
 
 
-def _eliminate(field, rows: Sequence[Sequence], ncols: int) -> tuple[list[list], list[int], object]:
-    """Gauss-Jordan elimination, the one elimination loop of the package.
+def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple[list[list], list[int], object]:
+    """Gaussian elimination, the one elimination loop of the package.
 
-    Returns the reduced rows, the pivot columns, and the product of the
-    pivots as found, negated once per row swap: the determinant when the
-    matrix is square and of full rank.
+    Returns the echelon rows, reduced when ``back`` runs the back pass, the
+    pivot columns, and the product of the pivots as found, negated once per
+    row swap: the determinant when the matrix is square and of full rank.
+    The back pass touches only rows above each pivot, so no pivot changes.
     """
     rows = [list(r) for r in rows]
+    nrows = len(rows)
     is_zero = field.is_zero
     pivots = []
     factor = field.one
     for c in range(ncols):
         k = len(pivots)
-        pr = next((i for i in range(k, len(rows)) if not is_zero(rows[i][c])), None)
+        if k == nrows:
+            break
+        pr = next((i for i in range(k, nrows) if not is_zero(rows[i][c])), None)
         if pr is None:
             continue
         if pr != k:
@@ -180,22 +185,25 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int) -> tuple[list[list],
             factor = field.neg(factor)
         piv = rows[k][c]
         factor = field.mul(factor, piv)
-        prow = rows[k] = field.scale_row(field.div(field.one, piv), rows[k])
-        for i, row in enumerate(rows):
+        # row k is zero left of column c, so every update starts there
+        tail = field.scale_row(field.div(field.one, piv), rows[k][c:])
+        rows[k] = rows[k][:c] + tail
+        for i in range(0 if back else k + 1, nrows):
+            row = rows[i]
             if i != k and not is_zero(row[c]):
-                rows[i] = field.sub_scaled_row(row, row[c], prow)
+                rows[i] = row[:c] + field.sub_scaled_row(row[c:], row[c], tail)
         pivots.append(c)
     return rows, pivots, factor
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column indices."""
-    rows, pivots, _ = _eliminate(m.field, m.rows, m.ncols)
+    rows, pivots, _ = _eliminate(m.field, m.rows, m.ncols, back=True)
     return Mat(m.field, rows, m.ncols), pivots
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m.field, m.rows, m.ncols, back=False)[1])
 
 
 def kernel_basis(m: Mat) -> list[list]:
@@ -225,10 +233,10 @@ def inverse(m: Mat) -> Mat:
 
 
 def det(m: Mat):
-    """Exact determinant: the pivot product of one Gauss-Jordan pass."""
+    """Exact determinant: the pivot product of one forward elimination pass."""
     if m.nrows != m.ncols:
         raise ShapeError("determinant of a nonsquare matrix")
-    _, pivots, factor = _eliminate(m.field, m.rows, m.ncols)
+    _, pivots, factor = _eliminate(m.field, m.rows, m.ncols, back=False)
     return factor if len(pivots) == m.nrows else m.field.zero
 
 

@@ -28,10 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainError, ShapeError
+from .errors import BudgetError, DomainError, ShapeError
 from .flags import Flag
-from .matrices import Mat, det, inverse, kernel_basis
+from .matrices import Mat, det, inverse, kernel_basis, rank
 from .subsets import CardSubset, PositionTuple, Weight
+
+# Budget of one joint constraint matrix, rows x cols x min(rows, cols): about
+# a second of elimination per sample over GF(2^31 - 1), longer over Q.
+MAX_ELIM_CELLS = 10**7
 
 
 @dataclass
@@ -135,8 +139,9 @@ def _joint_constraints(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
 
 
 def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> int:
-    """Exact dimension of the joint solution space; always >= edim."""
-    return len(kernel_basis(_joint_constraints(tup, f_flags, g_flags)))
+    """Exact dimension of the joint solution space, ncols - rank; always >= edim."""
+    joint = _joint_constraints(tup, f_flags, g_flags)
+    return joint.ncols - rank(joint)
 
 
 def _sample_flag_tuples(tup: PositionTuple, field, rng) -> tuple[list[Flag], list[Flag]]:
@@ -151,9 +156,16 @@ def _min_sampled_dim(tup: PositionTuple, field, samples: int, rng, stop_at: Opti
 
     Draws ``samples`` flag tuples, stopping early at a draw whose dimension
     equals ``stop_at``.  Returns (dimension, source flags, target flags).
+    A joint matrix over ``MAX_ELIM_CELLS`` raises ``BudgetError`` before
+    any flag is drawn.
     """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
+    cols = tup.cardinality * (tup.ground - tup.cardinality)
+    rows = sum(cols - p.dim() for p in tup.parts)
+    cells = rows * cols * min(rows, cols)
+    if cells > MAX_ELIM_CELLS:
+        raise BudgetError(f"joint constraints of {rows} x {cols} would take {cells} elimination cells, over {MAX_ELIM_CELLS}")
     best = None
     for _ in range(samples):
         fs, gs = _sample_flag_tuples(tup, field, rng)

@@ -90,12 +90,18 @@ class TestHornCommands:
         ["variational", "demo", "--r", "3", "--j", "[1]", "--xi", "[1e400,0,0]"],
         ["variational", "demo", "--r", "3", "--j", "[1]", "--tolerance", "nan"],
         ["variational", "demo", "--r", "3", "--j", "[1]", "--trials", "-1"],
+        # over the elimination and trial budgets: refused before any sampling
+        ["intersect", "certify", "--n", "60", "--tuple",
+         json.dumps([list(range(1, 31)), list(range(31, 61)), list(range(31, 61))])],
+        ["variational", "demo", "--r", "2", "--j", "[1]", "--trials", "100000000"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, tmp_path, argv):
     flat = tmp_path / "flat.json"
     flat.write_text("[1,2,3]")
+    start = time.perf_counter()
     assert main([str(flat) if a == "FLAT" else a for a in argv]) == 2
+    assert time.perf_counter() - start < 5
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
 
@@ -323,6 +329,11 @@ class TestGeometryCommands:
         code, obj = run_json(
             capsys, "variational", "demo", "--r", "6", "--j", "[2,4,6]", "--trials", "20", "--seed", "7"
         )
+        assert code == 0 and obj["ok"] is True
+
+    def test_variational_demo_huge_spectrum(self, capsys):
+        # --tolerance scales with sum |xi|, so rounding at 1e300 is not "false"
+        code, obj = run_json(capsys, "variational", "demo", "--r", "3", "--j", "[1,2]", "--xi", "[1e300,1e300,-1e300]")
         assert code == 0 and obj["ok"] is True
 
 

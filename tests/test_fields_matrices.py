@@ -75,6 +75,23 @@ def test_division_by_zero_rejected():
         SQRT5.div(SQRT5.one, SQRT5.zero)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 2147483647])
+def test_prime_division_matches_fermat(p):
+    f = PrimeField(p)
+    rng = rngmod.spawn(13, p % 1000)
+    if p < 10:
+        pairs = [(a, b) for a in range(p) for b in range(1, p)]
+    else:
+        pairs = [(rng.randrange(p), rng.randrange(1, p)) for _ in range(300)]
+    # unreduced and negative representatives divide like their residues
+    pairs += [(a + 3 * p, b - 5 * p) for a, b in pairs[:20]]
+    for a, b in pairs:
+        assert f.div(a, b) == a * pow(b, p - 2, p) % p
+    for zero in (0, p, -2 * p):
+        with pytest.raises(ZeroDivisionError):
+            f.div(1, zero)
+
+
 def test_nonprime_modulus_rejected():
     with pytest.raises(DomainError):
         PrimeField(10)
@@ -156,6 +173,40 @@ class TestRankKernel:
                         row[trial % 5] = field.zero
                 red, pivots = rref(Mat(field, rows))
                 assert (red.rows, pivots) == _reference_rref(field, rows, 5)
+
+
+FORWARD_FIELDS = [PrimeField(2), PrimeField(7), PrimeField(2147483647), QQ, SQRT5]
+
+
+def _seeded_matrices(field, rng):
+    """Tall, wide and square matrices, full rank and rank-deficient.
+
+    From the second trial on, the last row is the sum of the first two;
+    from the third on, entry (0, 0) is zero, so column 0 needs a row swap,
+    and one more column is zero.
+    """
+    for nrows, ncols in ((7, 3), (3, 7), (5, 5), (6, 6), (1, 4), (4, 1), (0, 3), (3, 0)):
+        for trial in range(5):
+            rows = random_matrix(field, nrows, ncols, rng).rows
+            if trial >= 1 and nrows >= 3:
+                rows[-1] = [field.add(x, y) for x, y in zip(rows[0], rows[1])]
+            if trial >= 2 and nrows >= 2 and ncols >= 2:
+                rows[0][0] = field.zero
+                for row in rows:
+                    row[1 + trial % (ncols - 1)] = field.zero
+            yield Mat(field, rows, ncols)
+
+
+@pytest.mark.parametrize("field", FORWARD_FIELDS, ids=lambda f: f.name)
+def test_forward_pass_rank_and_det_match_reference_rref(field):
+    # rank and det run the forward pass alone; rref also runs the back pass
+    rng = rngmod.spawn(12, 0)
+    for m in _seeded_matrices(field, rng):
+        red, pivots = rref(m)
+        assert (red.rows, pivots) == _reference_rref(field, m.rows, m.ncols)
+        assert rank(m) == len(pivots)
+        if m.nrows == m.ncols and m.nrows <= 5:
+            assert det(m) == _leibniz_det(field, m)
 
 
 def _reference_rref(f, rows, ncols):

@@ -4,7 +4,7 @@ import pytest
 
 from horncalc import rng as rngmod
 from horncalc.errors import BudgetError, DomainError, ShapeError
-from horncalc.fields import QQ, PrimeField
+from horncalc.fields import QQ, SQRT5, PrimeField
 from horncalc.flags import (
     Flag,
     SubspaceBasis,
@@ -16,8 +16,9 @@ from horncalc.flags import (
     subspace_in_coordinates,
 )
 from horncalc.hn import gaussian_binomial, hn_minimizer_exhaustive, rref_subspaces
-from horncalc.matrices import Mat, rank
+from horncalc.matrices import Mat, random_upper_triangular, rank
 from horncalc.subsets import CardSubset, PositionTuple, Weight, enumerate_subsets, slope
+from test_fields_matrices import _reference_rref
 
 GF7 = PrimeField(7)
 
@@ -34,6 +35,23 @@ def position_by_rank_formula(sub: SubspaceBasis, flag: Flag) -> CardSubset:
             jumps.append(j)
             prev = dim_meet
     return CardSubset(n, tuple(jumps))
+
+
+def normal_form_by_reference_rref(f, sub_cols, flag_mat):
+    """Independent oracle: position and cell normal form from the RREF pivots.
+
+    Flag coordinates come from reducing [flag | subspace]; the position is
+    the pivots of the RREF of those columns read bottom to top.  Returns
+    None when the columns are dependent.
+    """
+    n = flag_mat.nrows
+    aug, _ = _reference_rref(f, [row + [c[i] for c in sub_cols] for i, row in enumerate(flag_mat.rows)], n + len(sub_cols))
+    coords = [[aug[i][n + a] for i in range(n)] for a in range(len(sub_cols))]
+    red, pivots = _reference_rref(f, [c[::-1] for c in coords], n)
+    if len(pivots) < len(sub_cols):
+        return None
+    pos = CardSubset(n, tuple(n - c for c in reversed(pivots)))
+    return pos, Mat.from_columns(f, [row[::-1] for row in reversed(red)], n)
 
 
 def example_flag():
@@ -72,6 +90,37 @@ class TestPosition:
                     break
             sub = SubspaceBasis(field, m)
             assert position(sub, flag) == position_by_rank_formula(sub, flag)
+
+    @pytest.mark.parametrize(
+        "field", [PrimeField(2), GF7, PrimeField(2147483647), QQ, SQRT5], ids=lambda f: f.name
+    )
+    def test_against_reference_rref_oracle(self, field):
+        # position reads the pivots of the forward pass; cell_normal_basis
+        # also needs the back pass.  On odd trials the flag is upper
+        # triangular and column a of the subspace ends in d - 1 - a zeros, so
+        # the bottom-to-top reduction needs a row swap at its first column.
+        rng = rngmod.spawn(14, 0)
+        checked = 0
+        for trial in range(60):
+            n = rng.randrange(1, 8)
+            d = rng.randrange(1, n + 1)
+            zeros = trial % 2
+            if zeros:
+                flag = Flag(field, random_upper_triangular(field, n, rng))
+            else:
+                flag = Flag.random(field, n, rng)
+            cols = [
+                [field.zero if zeros and i >= n - (d - 1 - a) else field.random(rng) for i in range(n)]
+                for a in range(d)
+            ]
+            expected = normal_form_by_reference_rref(field, cols, flag.mat)
+            if expected is None:
+                continue
+            sub = SubspaceBasis(field, Mat.from_columns(field, cols, n), check=False)
+            assert position(sub, flag) == expected[0]
+            assert cell_normal_basis(sub, flag) == expected
+            checked += 1
+        assert checked >= 30
 
     def test_shape_error(self):
         e = example_flag()

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from horncalc import rng as rngmod
-from horncalc.errors import DomainError, ShapeError
-from horncalc.fields import QQ, DEFAULT_PRIME, PrimeField
+from horncalc.errors import BudgetError, DomainError, ShapeError
+from horncalc.fields import QQ, SQRT5, DEFAULT_PRIME, PrimeField
 from horncalc.flags import Flag, SubspaceBasis, induced_flag_on_quotient, position
 from horncalc.horn import horn_member
 from horncalc.matrices import (
@@ -19,9 +19,11 @@ from horncalc.matrices import (
 )
 from horncalc.subsets import CardSubset, PositionTuple, Weight, enumerate_subsets
 from horncalc.tangent import (
+    MAX_ELIM_CELLS,
     borel_character,
     certify_intersecting,
     delta_determinant,
+    h_constraint_rows,
     h_intersection_dim,
     h_space_basis,
     hom_conjugation_matrix,
@@ -128,6 +130,27 @@ class TestIntersectionDim:
             assert h_intersection_dim(t, fs, gs) >= t.edim()
 
 
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), GFP, QQ, SQRT5], ids=lambda f: f.name)
+    def test_dimension_matches_kernel_basis(self, field):
+        # h_intersection_dim is ncols - rank from the forward pass alone; the
+        # kernel basis needs the back pass.  Standard first flags leave
+        # zeros in the joint matrix, so its elimination swaps rows.
+        rng = rngmod.spawn(36, 0)
+        pyrng = random.Random(36)
+        for _ in range(20):
+            n = pyrng.randrange(3, 7)
+            r = pyrng.randrange(1, n)
+            s = pyrng.randrange(2, 4)
+            subs = enumerate_subsets(r, n)
+            t = PositionTuple(tuple(pyrng.choice(subs) for _ in range(s)))
+            fs = [Flag.standard(field, r)] + [Flag.random(field, r, rng) for _ in range(s - 1)]
+            gs = [Flag.standard(field, n - r)] + [Flag.random(field, n - r, rng) for _ in range(s - 1)]
+            joint = Mat(field, [row for k in range(s) for row in h_constraint_rows(t.parts[k], fs[k], gs[k])], r * (n - r))
+            basis = kernel_basis(joint)
+            assert h_intersection_dim(t, fs, gs) == len(basis)
+            assert all(field.is_zero(x) for vec in basis for x in joint.mul_vec(vec))
+
+
 class TestTdimEstimate:
     def test_worked_values(self):
         rng = rngmod.spawn(33, 0)
@@ -185,6 +208,27 @@ class TestCertify:
             v = certify_intersecting(t, GFP, 3, rngmod.spawn(35, count))
             assert v.intersecting == member
             count += 1
+
+
+class TestSamplingBudget:
+    # ([1..r], [r+1..2r], [r+1..2r]) has edim 0 and an r^2 x r^2 joint matrix
+    @staticmethod
+    def square_tuple(r):
+        return pt(2 * r, list(range(1, r + 1)), list(range(r + 1, 2 * r + 1)), list(range(r + 1, 2 * r + 1)))
+
+    def test_over_budget_raises_before_any_draw(self):
+        # (r^2)^3 cells: r = 14 is admitted, r = 15 is over the cap
+        assert 196 ** 3 <= MAX_ELIM_CELLS < 225 ** 3
+        t = self.square_tuple(15)
+        for call in (
+            lambda rng: certify_intersecting(t, GFP, 3, rng),
+            lambda rng: tdim_estimate(t, QQ, 1, rng),
+        ):
+            rng = rngmod.spawn(37, 0)
+            state = rng.getstate()
+            with pytest.raises(BudgetError):
+                call(rng)
+            assert rng.getstate() == state
 
 
 class TestKernelCompositionCompatibility:

@@ -1,8 +1,8 @@
 import pytest
 
-from horncalc.errors import DomainError
+from horncalc.errors import BudgetError, DomainError
 from horncalc.subsets import CardSubset
-from horncalc.variational import variational_check
+from horncalc.variational import MAX_TRIAL_WORK, variational_check
 
 
 def test_full_subset_is_exact_trace():
@@ -47,6 +47,30 @@ def test_monotone_spectrum_required():
 def test_bad_inputs_rejected(xi, trials, tolerance):
     with pytest.raises(DomainError):
         variational_check(xi, CardSubset(3, (1,)), trials=trials, tolerance=tolerance, seed=6)
+
+
+def test_tolerance_scales_with_the_spectrum():
+    # rounding at the 1e300 scale is far above an absolute 1e-9
+    report = variational_check([1e300, 1e300, -1e300], CardSubset(3, (1, 2)), trials=20, tolerance=1e-9, seed=7)
+    assert report.equality_error > 1e-9
+    assert report.ok, report.failures
+    # a tolerance of zero still flags the same rounding
+    assert not variational_check([1e300, 1e300, -1e300], CardSubset(3, (1, 2)), trials=0, tolerance=0.0, seed=7).ok
+
+
+@pytest.mark.parametrize("xi, trials", [([1.0, 0.0], 10**8), ([float(-k) for k in range(101)], 0)])
+def test_trial_budget(xi, trials):
+    with pytest.raises(BudgetError):
+        variational_check(xi, CardSubset(len(xi), (1,)), trials=trials, tolerance=1e-9, seed=6)
+
+
+def test_default_trials_admitted_up_to_r26():
+    # the CLI's default of 50 trials: 51 * 26^3 is inside the budget, 51 * 27^3 is not
+    assert 51 * 26 ** 3 <= MAX_TRIAL_WORK < 51 * 27 ** 3
+    xi = [float(-k) for k in range(27)]
+    assert variational_check(xi[:26], CardSubset(26, (1,)), trials=50, tolerance=1e-9, seed=6).ok
+    with pytest.raises(BudgetError):
+        variational_check(xi, CardSubset(27, (1,)), trials=50, tolerance=1e-9, seed=6)
 
 
 def test_deterministic_given_seed():
