@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul as _mul
 
 from .errors import DomainError
 
@@ -65,6 +66,10 @@ def _sub_scaled_row(self, row, c, pivot_row):
     return [x - c * y for x, y in zip(row, pivot_row)]
 
 
+def _dot(self, xs, ys):
+    return sum(map(_mul, xs, ys), self.zero)
+
+
 class RationalField:
     name = "rational"
 
@@ -93,6 +98,7 @@ class RationalField:
 
     scale_row = _scale_row
     sub_scaled_row = _sub_scaled_row
+    dot = _dot
 
     def from_int(self, k):
         return Fraction(k)
@@ -157,6 +163,9 @@ class PrimeField:
     def sub_scaled_row(self, row, c, pivot_row):
         p = self.p
         return [(x - c * y) % p for x, y in zip(row, pivot_row)]
+
+    def dot(self, xs, ys):
+        return sum(map(_mul, xs, ys)) % self.p
 
     def from_int(self, k):
         return k % self.p
@@ -276,6 +285,7 @@ class Sqrt5Field:
 
     scale_row = _scale_row
     sub_scaled_row = _sub_scaled_row
+    dot = _dot
 
     def from_int(self, k):
         return Sqrt5(k)

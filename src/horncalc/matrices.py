@@ -3,7 +3,8 @@
 Plain Gaussian elimination: exact fields need no pivoting strategy, and
 the whole artifact works at desk scale (n up to a few dozen).  One loop
 serves every field and every caller; the row updates are the field's own
-``scale_row`` and ``sub_scaled_row``, so GF(p) stays on machine integers.
+``scale_row`` and ``sub_scaled_row``, and each entry of a product is one
+field ``dot``, so GF(p) stays on machine integers.
 ``rank`` and ``det`` run only its forward pass; the back pass, clearing
 above each pivot, runs for ``rref`` and the callers that read its rows.
 """
@@ -90,28 +91,15 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         if other.nrows != self.ncols or other.field != self.field:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
-        f = self.field
-        out = []
-        ocols = other.ncols
-        for row in self.rows:
-            new = []
-            for j in range(ocols):
-                acc = f.zero
-                for k, x in enumerate(row):
-                    if not f.is_zero(x):
-                        acc = f.add(acc, f.mul(x, other.rows[k][j]))
-                new.append(acc)
-            out.append(new)
-        return Mat(f, out, ocols)
+        dot = self.field.dot
+        cols = list(zip(*other.rows)) or [()] * other.ncols
+        return Mat(self.field, [[dot(row, col) for col in cols] for row in self.rows], other.ncols)
 
     def mul_vec(self, vec: Sequence) -> list:
         if len(vec) != self.ncols:
             raise ShapeError(f"vector length {len(vec)} != ncols {self.ncols}")
-        f = self.field
-        return [
-            _dot(f, row, vec)
-            for row in self.rows
-        ]
+        dot = self.field.dot
+        return [dot(row, vec) for row in self.rows]
 
     def scale(self, c) -> "Mat":
         f = self.field
@@ -151,13 +139,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat({self.field!r}, {self.rows!r})"
-
-
-def _dot(f, xs, ys):
-    acc = f.zero
-    for x, y in zip(xs, ys):
-        acc = f.add(acc, f.mul(x, y))
-    return acc
 
 
 def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple[list[list], list[int], object]:

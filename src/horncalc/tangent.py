@@ -14,6 +14,14 @@ minor that is nonzero mod p is a nonzero integer, so the rational rank at
 the lifted point is at least the mod-p rank, forcing dim == edim over Q too.
 The reverse verdict stays Monte-Carlo.
 
+One sample works on a reduced space.  Each space is equivariant,
+H_I(F, G) = G H_I(E, E) F^{-1}, so the part with the fewest free slots is
+parametrised by its own slots at standard flags and only the other parts'
+constraints are eliminated: a matrix with dim I_k0 columns instead of the
+stacked r(n-r) columns of every part, with the same kernel dimension for
+every field and every flag tuple.  The sampling budget ``MAX_ELIM_CELLS``
+is still measured on the stacked matrix, which bounds the reduced one.
+
 When edim is zero the tangent map
 
     (zeta, phi_1, ..., phi_s) |-> (zeta + h_k phi_k g_k^{-1})_k
@@ -33,8 +41,9 @@ from .flags import Flag
 from .matrices import Mat, det, inverse, kernel_basis, rank
 from .subsets import CardSubset, PositionTuple, Weight
 
-# Budget of one joint constraint matrix, rows x cols x min(rows, cols): about
-# a second of elimination per sample over GF(2^31 - 1), longer over Q.
+# Budget of one stacked joint constraint matrix, rows x cols x min(rows, cols),
+# and of the square tangent map of delta_determinant: at most about a second
+# of elimination over GF(2^31 - 1), longer over Q.
 MAX_ELIM_CELLS = 10**7
 
 
@@ -124,24 +133,32 @@ def phi_in_h_space(subset: CardSubset, f_flag: Flag, g_flag: Flag, phi: Mat) -> 
     return True
 
 
-def _joint_constraints(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> Mat:
+def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> int:
+    """Exact dimension of the joint solution space; always >= edim.
+
+    Parametrises the part k0 with the fewest free slots by psi at standard
+    flags, phi = G0 psi F0^{-1}, and imposes only the other parts: row (i, a)
+    of part k on slot (a', b) is A_k[i][b] B_k[a'][a], with A_k = G_k^{-1} G0
+    and B_k = F0^{-1} F_k.  The result is len(slots) - rank of those rows.
+    """
     if len(f_flags) != tup.s or len(g_flags) != tup.s:
         raise ShapeError(f"need {tup.s} flag pairs, got {len(f_flags)}, {len(g_flags)}")
     fld = f_flags[0].field
-    r = tup.cardinality
-    q = tup.ground - r
-    rows: list[list] = []
     for subset, ff, gg in zip(tup.parts, f_flags, g_flags):
-        if ff.field != fld or gg.field != fld:
+        _check_shapes(subset, ff, gg)
+        if ff.field != fld:
             raise ShapeError("all flags must share one field")
-        rows.extend(h_constraint_rows(subset, ff, gg))
-    return Mat(fld, rows, r * q)
-
-
-def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> int:
-    """Exact dimension of the joint solution space, ncols - rank; always >= edim."""
-    joint = _joint_constraints(tup, f_flags, g_flags)
-    return joint.ncols - rank(joint)
+    k0 = min(range(tup.s), key=lambda k: tup.parts[k].dim())
+    slots = [(a - 1, b - 1) for a, b in _h_basis_positions(tup.parts[k0])]
+    f0_inv, g0, mul = f_flags[k0].inv(), g_flags[k0].mat, fld.mul
+    rows = []
+    for k, (subset, ff, gg) in enumerate(zip(tup.parts, f_flags, g_flags)):
+        if k == k0 or not slots:
+            continue
+        a_k, b_k = gg.inv().mul(g0).rows, f0_inv.mul(ff.mat).rows
+        for a, ia in enumerate(subset.elements):
+            rows.extend([mul(a_k[i][b], b_k[ap][a]) for ap, b in slots] for i in range(ia - a - 1, g0.nrows))
+    return len(slots) - rank(Mat(fld, rows, len(slots)))
 
 
 def _sample_flag_tuples(tup: PositionTuple, field, rng) -> tuple[list[Flag], list[Flag]]:
@@ -156,8 +173,8 @@ def _min_sampled_dim(tup: PositionTuple, field, samples: int, rng, stop_at: Opti
 
     Draws ``samples`` flag tuples, stopping early at a draw whose dimension
     equals ``stop_at``.  Returns (dimension, source flags, target flags).
-    A joint matrix over ``MAX_ELIM_CELLS`` raises ``BudgetError`` before
-    any flag is drawn.
+    A stacked joint constraint matrix over ``MAX_ELIM_CELLS`` raises
+    ``BudgetError`` before any flag is drawn.
     """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
@@ -263,7 +280,8 @@ def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[
 
     Bases are fixed once and for all: elementary matrices ordered by (a, b)
     on every Hom block and on each H_{I_k} at standard flags, which pins the
-    sign of the result.
+    sign of the result.  A tangent map with (s r q)^3 over ``MAX_ELIM_CELLS``
+    raises ``BudgetError`` before any inverse is taken.
     """
     if tup.edim() != 0:
         raise DomainError(f"determinant needs edim == 0, got {tup.edim()}")
@@ -274,14 +292,14 @@ def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[
     hom_dim = r * q
     n_cols = hom_dim + sum(p.dim() for p in tup.parts)
     assert n_cols == tup.s * hom_dim  # rank-nullity at edim zero
-    g_invs = []
-    for g in g_vec:
-        if g.nrows != r or g.ncols != r:
-            raise ShapeError(f"source matrices must be {r} x {r}")
-        g_invs.append(inverse(g))  # raises DomainError when singular
+    if any(g.nrows != r or g.ncols != r for g in g_vec):
+        raise ShapeError(f"source matrices must be {r} x {r}")
+    if any(h.nrows != q or h.ncols != q for h in h_vec):
+        raise ShapeError(f"target matrices must be {q} x {q}")
+    if n_cols ** 3 > MAX_ELIM_CELLS:
+        raise BudgetError(f"tangent map of {n_cols} x {n_cols} would take {n_cols ** 3} elimination cells, over {MAX_ELIM_CELLS}")
+    g_invs = [inverse(g) for g in g_vec]  # raises DomainError when singular
     for h in h_vec:
-        if h.nrows != q or h.ncols != q:
-            raise ShapeError(f"target matrices must be {q} x {q}")
         inverse(h)
 
     n_rows = tup.s * hom_dim

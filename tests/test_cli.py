@@ -94,6 +94,9 @@ class TestHornCommands:
         ["intersect", "certify", "--n", "60", "--tuple",
          json.dumps([list(range(1, 31)), list(range(31, 61)), list(range(31, 61))])],
         ["variational", "demo", "--r", "2", "--j", "[1]", "--trials", "100000000"],
+        # a 1200 x 1200 tangent map, refused before any inverse
+        ["delta", "eval", "--n", "40", "--tuple",
+         json.dumps([list(range(1, 21)), list(range(21, 41)), list(range(21, 41))])],
     ],
 )
 def test_bad_arguments_exit_2(capsys, tmp_path, argv):

@@ -150,6 +150,44 @@ class TestIntersectionDim:
             assert h_intersection_dim(t, fs, gs) == len(basis)
             assert all(field.is_zero(x) for vec in basis for x in joint.mul_vec(vec))
 
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), GFP, QQ, SQRT5], ids=lambda f: f.name)
+    def test_reduced_space_matches_stacked_rank(self, field):
+        # h_intersection_dim eliminates only the other parts' constraints on
+        # the free slots of one part; it must equal ncols - rank of every
+        # part's constraints stacked, generic flags or not
+        rng = rngmod.spawn(39, 0)
+        pyrng = random.Random(39)
+
+        def rebased(flag, s):
+            # one flag in every part, each with its own adapted basis
+            n = flag.space_dim
+            return [Flag(field, flag.mat.mul(random_upper_triangular(field, n, rng))) for _ in range(s)]
+
+        def flag_modes(r, q, s):
+            std = ([Flag.standard(field, r)] * s, [Flag.standard(field, q)] * s)
+            same = (rebased(Flag.random(field, r, rng), s), rebased(Flag.random(field, q, rng), s))
+            rand = ([Flag.random(field, r, rng) for _ in range(s)], [Flag.random(field, q, rng) for _ in range(s)])
+            return std, same, rand
+
+        tuples = [
+            pt(4, [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4]),  # r = n, q = 0
+            pt(6, [1, 2, 3], [4, 5, 6], [4, 5, 6]),  # dim I_k0 = 0, edim 0
+            pt(4, [3, 4], [3, 4], [2, 4], [1, 3]),  # s = 4, smallest part last
+            pt(5, [2, 4], [2, 4], [2, 4]),  # every part has the same dim
+        ]
+        for _ in range(16):
+            n = pyrng.randrange(2, 7)
+            r = pyrng.randrange(1, n + 1)
+            s = pyrng.randrange(1, 5)
+            subs = enumerate_subsets(r, n)
+            tuples.append(PositionTuple(tuple(pyrng.choice(subs) for _ in range(s))))
+        for t in tuples:
+            r, q = t.cardinality, t.ground - t.cardinality
+            for fs, gs in flag_modes(r, q, t.s):
+                rows = [row for k in range(t.s) for row in h_constraint_rows(t.parts[k], fs[k], gs[k])]
+                stacked = Mat(field, rows, r * q)
+                assert h_intersection_dim(t, fs, gs) == r * q - rank(stacked), t
+
 
 class TestTdimEstimate:
     def test_worked_values(self):
