@@ -8,6 +8,14 @@ precondition or a budget, 3 any other (internal) failure.
 All output is deterministic for a fixed argv and --seed: JSON objects are
 emitted with sorted keys and every randomized routine derives its streams
 from the master seed.
+
+Imports: this module loads only ``argparse``, ``json``, ``sys`` and
+``.errors`` at import time.  Each ``_cmd_*`` handler (and each helper)
+imports the library modules it runs, so a process compiles and loads only
+what its subcommand executes, and an import failure inside a handler is
+reported by ``main`` like any other internal failure.  Parser construction
+imports nothing: defaults that live in a library module (``--budget``,
+``--tolerance``) are ``None`` in the parser and resolved by the handler.
 """
 
 from __future__ import annotations
@@ -15,29 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
-from fractions import Fraction
 
-from . import rng as rngmod
 from .errors import BudgetError, DomainError, ShapeError
-from .fields import DEFAULT_PRIME, QQ, SQRT5, PrimeField, field_from_tag
-from .flags import Flag, SubspaceBasis, position, sample_cell_point
-from .hn import DEFAULT_SUBSPACE_BUDGET, hn_minimizer_exhaustive
-from .horn import HornTable, horn0, horn_classes, horn_member
-from .kirwan import kirwan_check, kirwan_inequality_set, lr_nonvanishing, tuple_from_weights
-from .matrices import Mat, random_invertible
-from .subsets import CardSubset, PositionTuple, Weight
-from .tables import (
-    APPENDIX_A_KEYS,
-    APPENDIX_B,
-    appendix_a_tuple,
-    appendix_b_closure,
-    two_point_flags,
-    two_point_subspaces,
-    two_point_tuple,
-)
-from .tangent import certify_intersecting, delta_determinant
-from .variational import DEFAULT_TOLERANCE, variational_check
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -78,11 +65,15 @@ def _json_arg(text: str, what: str, depth: int, entry=int):
     return _checked(_parse_json(text, what), depth, entry, what)
 
 
-def _tuple_from_args(args) -> PositionTuple:
+def _tuple_from_args(args):
+    from .subsets import PositionTuple
+
     return PositionTuple.from_lists(args.n, _json_arg(args.tuple, "--tuple", 2))
 
 
 def _field_from_args(args, default):
+    from .fields import DEFAULT_PRIME, QQ, SQRT5, PrimeField
+
     if args.prime is not None:
         return PrimeField(args.prime)
     name = args.field or default
@@ -93,7 +84,10 @@ def _field_from_args(args, default):
     return PrimeField(DEFAULT_PRIME)
 
 
-def _load_matrix_file(path: str) -> tuple[object, Mat]:
+def _load_matrix_file(path: str):
+    from .fields import field_from_tag
+    from .matrices import Mat
+
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -108,10 +102,6 @@ def _load_matrix_file(path: str) -> tuple[object, Mat]:
     return field, Mat(field, entries, len(entries[0]) if entries else 0)
 
 
-def _fraction_json(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
-
-
 def _format_subset(elems) -> str:
     return "{" + ",".join(str(x) for x in elems) + "}"
 
@@ -120,6 +110,8 @@ def _format_subset(elems) -> str:
 
 
 def _cmd_horn_enumerate(args) -> int:
+    from .horn import HornTable, horn_classes
+
     classes = horn_classes(args.r, args.n, args.s, HornTable())
     rows = [
         {"tuple": [list(p.elements) for p in tup.parts], "edim": e}
@@ -157,6 +149,8 @@ def _render_table(r: int, n: int, s: int, rows: list[dict], fmt: str) -> str:
 
 
 def _cmd_horn_check(args) -> int:
+    from .horn import HornTable, horn_member
+
     tup = _tuple_from_args(args)
     verdict = horn_member(tup, HornTable())
     _emit({"tuple": tup.to_json(), **verdict.to_json()})
@@ -164,6 +158,8 @@ def _cmd_horn_check(args) -> int:
 
 
 def _cmd_horn0(args) -> int:
+    from .horn import HornTable, horn0
+
     cache = HornTable()
     tuples = horn0(args.d, args.r, args.s, cache)
     _emit(
@@ -181,6 +177,9 @@ def _cmd_horn0(args) -> int:
 
 
 def _cmd_intersect_certify(args) -> int:
+    from . import rng as rngmod
+    from .tangent import certify_intersecting
+
     tup = _tuple_from_args(args)
     field = _field_from_args(args, default="prime")
     verdict = certify_intersecting(tup, field, args.samples, rngmod.spawn(args.seed, 0))
@@ -192,6 +191,9 @@ def _cmd_intersect_certify(args) -> int:
 
 
 def _cmd_kirwan_ineqs(args) -> int:
+    from .horn import HornTable
+    from .kirwan import kirwan_inequality_set
+
     cache = HornTable()
     ineqs = kirwan_inequality_set(args.r, args.s, cache)
     rows = [{"d": d, "parts": [list(p.elements) for p in j.parts]} for d, j in ineqs]
@@ -222,6 +224,11 @@ def _cmd_kirwan_ineqs(args) -> int:
 
 
 def _cmd_kirwan_check(args) -> int:
+    from fractions import Fraction
+
+    from .horn import HornTable
+    from .kirwan import kirwan_check
+
     parts = _json_arg(args.xi, "--xi", 2, lambda x: Fraction(str(x)))
     ok, violated = kirwan_check(parts, HornTable())
     _emit(
@@ -234,6 +241,10 @@ def _cmd_kirwan_check(args) -> int:
 
 
 def _cmd_lr_nonzero(args) -> int:
+    from .horn import HornTable
+    from .kirwan import kirwan_check, lr_nonvanishing, tuple_from_weights
+    from .subsets import Weight
+
     weights = [Weight(tuple(part)) for part in _json_arg(args.lam, "--lambda", 2)]
     cache = HornTable()
     ok = lr_nonvanishing(weights, cache)
@@ -252,10 +263,13 @@ def _cmd_lr_nonzero(args) -> int:
 
 
 def _cmd_pos_compute(args) -> int:
+    from .flags import Flag, SubspaceBasis, check_flag_budget, position
+
     field_f, flag_mat = _load_matrix_file(args.flag)
     field_s, sub_mat = _load_matrix_file(args.subspace)
     if field_f != field_s:
         raise DomainError("flag and subspace files use different fields")
+    check_flag_budget(flag_mat.nrows)
     flag = Flag(field_f, flag_mat)
     pos = position(SubspaceBasis(field_s, sub_mat), flag)
     _emit({"position": list(pos.elements), "ground": pos.ground})
@@ -263,7 +277,12 @@ def _cmd_pos_compute(args) -> int:
 
 
 def _cmd_cell_sample(args) -> int:
+    from . import rng as rngmod
+    from .flags import Flag, check_flag_budget, position, sample_cell_point
+    from .subsets import CardSubset
+
     subset = CardSubset(args.n, tuple(_json_arg(args.subset, "--subset", 1)))
+    check_flag_budget(args.n)  # before any flag is built or read
     field = _field_from_args(args, default="rational")
     rng = rngmod.spawn(args.seed, 0)
     if args.flag:
@@ -288,7 +307,15 @@ def _cmd_cell_sample(args) -> int:
 
 
 def _cmd_hn_search(args) -> int:
+    from . import rng as rngmod
+    from .fields import PrimeField
+    from .flags import Flag
+    from .hn import DEFAULT_SUBSPACE_BUDGET, check_subspace_budget, hn_minimizer_exhaustive
+    from .subsets import Weight
+
     field = PrimeField(args.q)
+    budget = DEFAULT_SUBSPACE_BUDGET if args.budget is None else args.budget
+    check_subspace_budget(args.r, args.q, budget)  # before any flag is drawn
     rng = rngmod.spawn(args.seed, 0)
     flags = [Flag.random(field, args.r, rng) for _ in range(args.s)]
     if args.theta:
@@ -298,7 +325,7 @@ def _cmd_hn_search(args) -> int:
         for _ in range(args.s):
             entries = sorted(rng.randrange(-4, 5) for _ in range(args.r))
             thetas.append(Weight(tuple(entries)))
-    result = hn_minimizer_exhaustive(flags, thetas, budget=args.budget)
+    result = hn_minimizer_exhaustive(flags, thetas, budget=budget)
     _emit(
         {
             "r": args.r,
@@ -307,7 +334,7 @@ def _cmd_hn_search(args) -> int:
             "thetas": [w.to_json() for w in thetas],
             "minimizer": result.minimizer.mat.format_entries(),
             "dim": result.minimizer.dim,
-            "slope": _fraction_json(result.slope),
+            "slope": [result.slope.numerator, result.slope.denominator],
             "multiplicity": result.multiplicity,
             "subspaces_scanned": result.scanned,
         }
@@ -316,7 +343,13 @@ def _cmd_hn_search(args) -> int:
 
 
 def _cmd_delta_eval(args) -> int:
+    from . import rng as rngmod
+    from .fields import QQ
+    from .matrices import random_invertible
+    from .tangent import check_delta_budget, delta_determinant
+
     tup = _tuple_from_args(args)
+    check_delta_budget(tup)  # before any matrix is drawn
     rng = rngmod.spawn(args.seed, 0)
     r, q = tup.cardinality, tup.ground - tup.cardinality
     gs = [random_invertible(QQ, r, rng) for _ in range(tup.s)]
@@ -335,14 +368,20 @@ def _cmd_delta_eval(args) -> int:
 
 
 def _cmd_variational_demo(args) -> int:
+    from . import rng as rngmod
+    from .subsets import CardSubset
+    from .variational import DEFAULT_TOLERANCE, check_trial_budget, variational_check
+
     elems = _json_arg(args.j, "--j", 1)
     rng = rngmod.spawn(args.seed, 0)
     if args.xi:
         xi = sorted(_json_arg(args.xi, "--xi", 1, float), reverse=True)
     else:
+        check_trial_budget(args.r, args.trials)  # before the spectrum is drawn
         xi = sorted((rng.uniform(-2.0, 2.0) for _ in range(args.r)), reverse=True)
     subset = CardSubset(args.r, tuple(elems))
-    report = variational_check(xi, subset, args.trials, args.tolerance, rngmod.derive_seed(args.seed, 1))
+    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+    report = variational_check(xi, subset, args.trials, tolerance, rngmod.derive_seed(args.seed, 1))
     _emit({"xi": xi, "j": list(subset.elements), **report.to_json()})
     return EXIT_OK if report.ok else EXIT_FALSE
 
@@ -351,6 +390,9 @@ def _cmd_variational_demo(args) -> int:
 
 
 def _cmd_tables_a(args) -> int:
+    from .horn import HornTable, horn_classes
+    from .tables import APPENDIX_A_KEYS, appendix_a_tuple
+
     cache = HornTable()
     out = []
     for d, r in APPENDIX_A_KEYS:
@@ -381,6 +423,11 @@ def _cmd_tables_a(args) -> int:
 
 
 def _cmd_tables_b(args) -> int:
+    from .horn import HornTable
+    from .kirwan import kirwan_inequality_set
+    from .subsets import PositionTuple
+    from .tables import APPENDIX_B, appendix_b_closure
+
     cache = HornTable()
     out = []
     for r in sorted(APPENDIX_B):
@@ -413,6 +460,9 @@ def _cmd_tables_b(args) -> int:
 
 
 def _cmd_fixtures_two_point(args) -> int:
+    from .flags import position
+    from .tables import two_point_flags, two_point_subspaces, two_point_tuple
+
     flags = two_point_flags()
     v1, v2 = two_point_subspaces()
     target = two_point_tuple().parts[0]
@@ -523,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--theta", default=None)
     _add_seed(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
+    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_hn_search)
 
     delta = sub.add_parser("delta").add_subparsers(dest="action", required=True)
@@ -539,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", required=True)
     p.add_argument("--xi", default=None)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=float, default=None)
     _add_seed(p)
     p.set_defaults(func=_cmd_variational_demo)
 
@@ -572,6 +622,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except Exception:
         # exit 1 means "false", so no failure may escape with that code
+        import traceback
+
         sys.stderr.write("internal error:\n" + traceback.format_exc())
         return EXIT_INTERNAL
 

@@ -15,8 +15,8 @@ need.
 
 from __future__ import annotations
 
-from .errors import DomainError, ShapeError
-from .matrices import Mat, _eliminate, inverse, random_matrix, rank, rref, solve_exact
+from .errors import BudgetError, DomainError, ShapeError
+from .matrices import MAX_ELIM_CELLS, Mat, _eliminate, inverse, random_matrix, rank, rref, solve_exact
 from .subsets import CardSubset
 
 
@@ -209,6 +209,16 @@ def shuffle_matrix(field, subset: CardSubset) -> Mat:
     return m
 
 
+def check_flag_budget(n: int) -> None:
+    """Raise ``BudgetError`` if work with a flag of an n-space is over ``MAX_ELIM_CELLS``.
+
+    Building, inverting or multiplying by the n x n flag matrix takes n^3
+    cells; callers that build the flag themselves check before building it.
+    """
+    if n**3 > MAX_ELIM_CELLS:
+        raise BudgetError(f"a flag of a {n}-dimensional space takes {n**3} elimination cells, over {MAX_ELIM_CELLS}")
+
+
 def sample_cell_point(subset: CardSubset, flag: Flag, rng) -> SubspaceBasis:
     """Uniform-ish random point of the open Schubert cell at ``subset``.
 
@@ -218,6 +228,7 @@ def sample_cell_point(subset: CardSubset, flag: Flag, rng) -> SubspaceBasis:
     """
     if subset.ground != flag.space_dim:
         raise ShapeError(f"subset ground {subset.ground} != flag dimension {flag.space_dim}")
+    check_flag_budget(subset.ground)
     f = flag.field
     n, r = subset.ground, subset.cardinality
     cols = []

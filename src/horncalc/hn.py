@@ -10,9 +10,8 @@ unique one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetError, DomainError, ShapeError
 from .fields import PrimeField
@@ -39,6 +38,19 @@ def count_nonzero_subspaces(r: int, q: int) -> int:
     return sum(gaussian_binomial(r, d, q) for d in range(1, r + 1))
 
 
+def check_subspace_budget(r: int, q: int, budget: int = DEFAULT_SUBSPACE_BUDGET) -> None:
+    """Raise ``BudgetError`` if GF(q)^r has more nonzero subspaces than ``budget``.
+
+    The lines alone number at least 2^(r-1), so a large r is refused without
+    counting; callers that draw the flags check first.
+    """
+    if r - 1 >= budget.bit_length():
+        raise BudgetError(f"GF({q})^{r} has at least 2^{r - 1} subspaces, over the budget of {budget}")
+    total = count_nonzero_subspaces(r, q)
+    if total > budget:
+        raise BudgetError(f"{total} subspaces of GF({q})^{r} exceed the budget of {budget}")
+
+
 def rref_subspaces(field: PrimeField, r: int, d: int) -> Iterator[SubspaceBasis]:
     """All d-dimensional subspaces of GF(q)^r via canonical echelon rows."""
     q = field.p
@@ -60,8 +72,7 @@ def rref_subspaces(field: PrimeField, r: int, d: int) -> Iterator[SubspaceBasis]
             yield SubspaceBasis(field, Mat.from_columns(field, cols, r), check=False)
 
 
-@dataclass
-class HNResult:
+class HNResult(NamedTuple):
     minimizer: SubspaceBasis
     slope: Fraction
     multiplicity: int
@@ -91,12 +102,7 @@ def hn_minimizer_exhaustive(
             raise ShapeError(f"weight length {len(th)} != {r}")
         if not th.is_antidominant():
             raise DomainError(f"weight must be antidominant, got {th.entries}")
-
-    total = count_nonzero_subspaces(r, field.p)
-    if total > budget:
-        raise BudgetError(
-            f"{total} subspaces of GF({field.p})^{r} exceed the budget of {budget}"
-        )
+    check_subspace_budget(r, field.p, budget)
 
     best_key = None
     best: SubspaceBasis | None = None

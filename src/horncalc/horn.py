@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import Counter
+from math import comb, factorial
 from operator import add
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError, ShapeError
 from .subsets import CardSubset, PositionTuple, enumerate_subsets
@@ -32,6 +33,9 @@ from .subsets import CardSubset, PositionTuple, enumerate_subsets
 # Canonical rows one level scan may test: the largest slice at r = 10, s = 3
 # tests 43,019, the full level (5, 12, 3) would test 4.65 million.
 MAX_CANDIDATES = 10**6
+# Parts one level may hold once its rows are listed with every permutation
+# (tuples x s): the largest slice at r = 11, s = 3 lists 319,450 tuples.
+MAX_LISTED_PARTS = 3 * MAX_CANDIDATES
 HEAD = 32  # lower rows tested first; the smallest slices reject most failures
 
 Rows = list[tuple[tuple[int, ...], int]]  # index rows with their edims
@@ -47,16 +51,46 @@ def _count(codims: list[int], cell: int, s: int, full: bool) -> int:
     return sum(ways[s]) if full else ways[s][cell]
 
 
-def _expand(rows: Rows) -> Rows:
-    """Every distinct permutation of each row, in lexicographic order."""
+def _multiset_permutations(row: tuple[int, ...]):
+    """Distinct permutations of a nondecreasing row, in lexicographic order.
+
+    Each step is the next permutation (swap the last ascent's head with its
+    least larger successor, reverse the tail), so s! repeats of equal parts
+    never form and a row with many equal parts costs O(s) per permutation.
+    """
+    p = list(row)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
+
+
+def _expand(rows: Rows, key: tuple[int, int, int]) -> Rows:
+    """Every distinct permutation of each row, in lexicographic order.
+
+    Raises ``BudgetError`` before listing over ``MAX_LISTED_PARTS`` parts.
+    """
+    s = key[2]
+    listed = 0
+    for row, _ in rows:
+        perms = factorial(s)
+        if len(set(row)) < s:
+            for c in Counter(row).values():
+                perms //= factorial(c)
+        listed += perms
+    if listed * s > MAX_LISTED_PARTS:
+        raise BudgetError(f"Horn level {key} would list {listed} tuples of {s} parts, over {MAX_LISTED_PARTS} parts")
     out = []  # distinct rows are distinct multisets: their permutations never meet
     for row, e in rows:
-        if len(set(row)) == len(row):
-            perms = itertools.permutations(row)
-        else:
-            perms = {()}  # inserted part by part, so s! repeats of equal parts never form
-            for x in row:
-                perms = {p[:k] + (x,) + p[k:] for p in perms for k in range(len(p) + 1)}
+        perms = itertools.permutations(row) if len(set(row)) == len(row) else _multiset_permutations(row)
         out += [(p, e) for p in perms]
     return sorted(out)
 
@@ -69,8 +103,7 @@ def _tuples(d: int, r: int, rows: Rows) -> list[tuple[PositionTuple, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class HornViolation:
+class HornViolation(NamedTuple):
     """Re-checkable witness that a tuple fails the recursion.
 
     ``kind`` is "edim" when the base inequality edim >= 0 fails (then
@@ -91,8 +124,7 @@ class HornViolation:
         return out
 
 
-@dataclass(frozen=True)
-class HornVerdict:
+class HornVerdict(NamedTuple):
     member: bool
     edim: int
     violation: Optional[HornViolation]
@@ -110,7 +142,8 @@ class HornTable:
     A level is scanned for its edim-0 slice or, for enumeration, in full,
     with the per-part tables D kept per (m, d, r); a level with 2d > r is
     its mirror (r - d, r, s) mapped through J -> J*.  A query that would scan
-    over ``MAX_CANDIDATES`` rows at a level raises ``BudgetError`` first.
+    over ``MAX_CANDIDATES`` rows at a level, or whose count alone would take
+    over ``MAX_CANDIDATES`` steps, raises ``BudgetError`` first.
     Tuples list every permutation, in lexicographic order, and skip validation
     (their parts come from ``enumerate_subsets``).  Built levels never change.
     """
@@ -125,7 +158,7 @@ class HornTable:
         self.kirwan_systems: dict[tuple[int, int], list] = {}  # filled by horncalc.kirwan
 
     def members(self, d: int, r: int, s: int) -> list[tuple[PositionTuple, int]]:
-        return _tuples(d, r, _expand(self._level((d, r, s), full=True)))
+        return _tuples(d, r, _expand(self._level((d, r, s), full=True), (d, r, s)))
 
     def zero_slice(self, d: int, r: int, s: int) -> list[PositionTuple]:
         if d == r:
@@ -134,7 +167,7 @@ class HornTable:
             return [PositionTuple((full,) * s)]
         key = (d, r, s)
         if key not in self._zero:
-            self._zero[key] = [t for t, _ in _tuples(d, r, _expand(self._level(key)))]
+            self._zero[key] = [t for t, _ in _tuples(d, r, _expand(self._level(key), key))]
         return self._zero[key]
 
     def _level(self, key: tuple[int, int, int], full: bool = False) -> Rows:
@@ -156,7 +189,11 @@ class HornTable:
                 self.check_budget([(r - d, r, s)], full)
                 continue
             self.check_budget([(m, d, s) for m in range(1, d)])
-            tested = _count([p.codim() for p in enumerate_subsets(d, r)], d * (r - d), s, full)
+            cell = d * (r - d)
+            steps = comb(r, d) * s * (cell + 1)  # _count's loop; it also bounds the scan's per-budget pools
+            if steps > MAX_CANDIDATES:
+                raise BudgetError(f"Horn level {key} would take {steps} steps to count its candidates, over {MAX_CANDIDATES}")
+            tested = _count([p.codim() for p in enumerate_subsets(d, r)], cell, s, full)
             if tested > MAX_CANDIDATES:
                 raise BudgetError(f"Horn level {key} would test {tested} candidates, over {MAX_CANDIDATES}")
             self._checked.add((key, full))
@@ -189,7 +226,7 @@ class HornTable:
                 outer = itertools.combinations(range(1, r + 1), d)
                 self._dims[(m, d, r)] = [[sum(big[j] for j in small) - base for small in inner] for big in outer]
             cut = (s - 1) * m * (r - m)
-            for k, col in enumerate(zip(*(row for row, _ in _expand(self._level((m, d, s)))))):
+            for k, col in enumerate(zip(*(row for row, _ in _expand(self._level((m, d, s)), (m, d, s))))):
                 for vec, dims in zip(vecs[k], self._dims[(m, d, r)]):
                     vec += [dims[j] - cut for j in col] if k == 0 else [dims[j] for j in col]
         # fits[b]: subsets within a budget b; the last part must use it up unless full

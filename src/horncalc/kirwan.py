@@ -17,10 +17,9 @@ LCM of their denominators, which divides back out of each reported ``lhs``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError
 from .horn import HornTable, horn0
@@ -51,8 +50,7 @@ def _as_chamber_point(parts: Sequence[Sequence]) -> tuple[list[int], int, int, i
     return [x.numerator * (den // x.denominator) for x in flat], r, len(rows), den
 
 
-@dataclass(frozen=True)
-class IneqCertificate:
+class IneqCertificate(NamedTuple):
     """One evaluated constraint: the trace equality or a Horn inequality."""
 
     kind: str  # "trace" or "horn"

@@ -15,6 +15,11 @@ from typing import Sequence
 
 from .errors import DomainError, ShapeError
 
+# Budget of one call's eliminations and products on the geometric route, in
+# multiply-add cells (an n x n elimination or product is n^3): at most about
+# a second over GF(2^31 - 1), longer over Q.
+MAX_ELIM_CELLS = 10**7
+
 
 class Mat:
     """Rectangular matrix; rows of scalars from one field instance."""

@@ -19,31 +19,61 @@ always equals ``I.quotient(J.complement())``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ShapeError
 
+_set = object.__setattr__  # the one way to fill a frozen slot
 
-@dataclass(frozen=True, slots=True)
-class CardSubset:
+
+class _Frozen:
+    """Immutable ``__slots__`` record: fields are the slots, set once in ``__init__``.
+
+    Subclasses write their own ``__eq__`` and ``__hash__`` over the fields
+    (equal only to the same class); repr, copy and pickle follow the slots.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class CardSubset(_Frozen):
     """A strictly increasing subset of [ground], possibly empty or full."""
 
-    ground: int
-    elements: tuple[int, ...]
+    __slots__ = ("ground", "elements")
 
-    def __post_init__(self):
-        if self.ground < 0:
-            raise DomainError(f"ground must be nonnegative, got {self.ground}")
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, ground: int, elements: Iterable[int]):
+        if ground < 0:
+            raise DomainError(f"ground must be nonnegative, got {ground}")
+        elements = tuple(elements)
         prev = 0
-        for x in self.elements:
-            if not prev < x <= self.ground:
-                raise DomainError(
-                    f"elements must be strictly increasing within [1, {self.ground}], got {self.elements}"
-                )
+        for x in elements:
+            if not prev < x <= ground:
+                raise DomainError(f"elements must be strictly increasing within [1, {ground}], got {elements}")
             prev = x
+        _set(self, "ground", ground)
+        _set(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.ground == other.ground and self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ground, self.elements))
 
     @property
     def cardinality(self) -> int:
@@ -117,14 +147,21 @@ def enumerate_subsets(cardinality: int, ground: int) -> list[CardSubset]:
     return [CardSubset(ground, c) for c in itertools.combinations(range(1, ground + 1), cardinality)]
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(_Frozen):
     """Integer weight vector; dominance is checked on demand, not enforced."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
+    def __init__(self, entries: Iterable[int]):
+        _set(self, "entries", tuple(int(x) for x in entries))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     def __len__(self):
         return len(self.entries)
@@ -166,20 +203,28 @@ def subset_of_lambda(weight: Weight, ground: int) -> CardSubset:
     return CardSubset(ground, tuple(a - weight(a) for a in range(1, r + 1)))
 
 
-@dataclass(frozen=True, slots=True)
-class PositionTuple:
+class PositionTuple(_Frozen):
     """An s-tuple of same-shape subsets; one position per flag."""
 
-    parts: tuple[CardSubset, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    def __init__(self, parts: Iterable[CardSubset]):
+        parts = tuple(parts)
+        if not parts:
             raise DomainError("a position tuple needs at least one part")
-        n, r = self.parts[0].ground, self.parts[0].cardinality
-        for p in self.parts[1:]:
+        n, r = parts[0].ground, parts[0].cardinality
+        for p in parts[1:]:
             if p.ground != n or p.cardinality != r:
                 raise ShapeError(f"all parts must share ground {n} and cardinality {r}")
+        _set(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def ground(self) -> int:

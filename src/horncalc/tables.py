@@ -10,17 +10,18 @@ runtime.
 The two-point fixture builds three flags from a degree-5 polynomial curve
 and its derivatives at t in {0, 1, -1}; the two subspaces below are cut out
 by requiring position {2, 4, 6} with respect to all three flags at once,
-and their coordinates live in Q(sqrt 5).
+and their coordinates live in Q(sqrt 5).  Only the fixture functions import
+``fields`` and ``flags``, so the appendix tables load the Horn modules alone.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from typing import TYPE_CHECKING
 
-from .fields import SQRT5, Sqrt5
-from .flags import Flag, SubspaceBasis
 from .subsets import CardSubset, PositionTuple
+
+if TYPE_CHECKING:
+    from .flags import Flag, SubspaceBasis
 
 # (d, r) -> list of (J1, J2, J3, edim); classes sorted lexicographically.
 APPENDIX_A: dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]]] = {
@@ -139,6 +140,12 @@ _TWO_POINT_V1 = (
 
 def derivative_flag(t: int) -> Flag:
     """Flag adapted by a degree-5 exponential-like curve and its derivatives at t."""
+    from fractions import Fraction
+    from math import factorial
+
+    from .fields import SQRT5, Sqrt5
+    from .flags import Flag
+
     n = 6
     cols = []
     for k in range(n):
@@ -155,6 +162,9 @@ def two_point_flags() -> list[Flag]:
 
 def two_point_subspaces() -> tuple[SubspaceBasis, SubspaceBasis]:
     """The two subspaces of the fixture; conjugate under sqrt5 -> -sqrt5."""
+    from .fields import SQRT5, Sqrt5
+    from .flags import SubspaceBasis
+
     def build(sign: int) -> SubspaceBasis:
         cols = [
             [Sqrt5(a, sign * b) for (a, b) in col]

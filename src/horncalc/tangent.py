@@ -20,7 +20,9 @@ parametrised by its own slots at standard flags and only the other parts'
 constraints are eliminated: a matrix with dim I_k0 columns instead of the
 stacked r(n-r) columns of every part, with the same kernel dimension for
 every field and every flag tuple.  The sampling budget ``MAX_ELIM_CELLS``
-is still measured on the stacked matrix, which bounds the reduced one.
+covers every sample of a call: each costs the reduced elimination plus
+drawing and multiplying its 2s flags.  ``delta_determinant`` is budgeted
+the same way (``check_delta_budget``).
 
 When edim is zero the tangent map
 
@@ -33,22 +35,15 @@ identities (see the test suite).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, DomainError, ShapeError
 from .flags import Flag
-from .matrices import Mat, det, inverse, kernel_basis, rank
+from .matrices import MAX_ELIM_CELLS, Mat, det, inverse, kernel_basis, rank
 from .subsets import CardSubset, PositionTuple, Weight
 
-# Budget of one stacked joint constraint matrix, rows x cols x min(rows, cols),
-# and of the square tangent map of delta_determinant: at most about a second
-# of elimination over GF(2^31 - 1), longer over Q.
-MAX_ELIM_CELLS = 10**7
 
-
-@dataclass
-class HomSpaceBasis:
+class HomSpaceBasis(NamedTuple):
     """Basis of H_I(F, G) as a list of (n-r) x r matrices."""
 
     r: int
@@ -148,7 +143,7 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
         _check_shapes(subset, ff, gg)
         if ff.field != fld:
             raise ShapeError("all flags must share one field")
-    k0 = min(range(tup.s), key=lambda k: tup.parts[k].dim())
+    k0 = _reduced_part(tup)
     slots = [(a - 1, b - 1) for a, b in _h_basis_positions(tup.parts[k0])]
     f0_inv, g0, mul = f_flags[k0].inv(), g_flags[k0].mat, fld.mul
     rows = []
@@ -159,6 +154,26 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
         for a, ia in enumerate(subset.elements):
             rows.extend([mul(a_k[i][b], b_k[ap][a]) for ap, b in slots] for i in range(ia - a - 1, g0.nrows))
     return len(slots) - rank(Mat(fld, rows, len(slots)))
+
+
+def _reduced_part(tup: PositionTuple) -> int:
+    """The part k0 that ``h_intersection_dim`` parametrises: fewest free slots, first on ties."""
+    return min(range(tup.s), key=lambda k: tup.parts[k].dim())
+
+
+def _sample_cells(tup: PositionTuple) -> tuple[int, int, int]:
+    """(rows, cols, cells) of one sample.
+
+    The reduced matrix has sum_{k != k0} codim I_k rows and dim I_k0
+    columns, eliminated in rows x cols x min(rows, cols) cells; drawing,
+    inverting and multiplying the 2s flags adds s (r^3 + q^3), so that no
+    sample is free even when the reduced matrix is empty.
+    """
+    r, q = tup.cardinality, tup.ground - tup.cardinality
+    k0 = _reduced_part(tup)
+    cols = tup.parts[k0].dim()
+    rows = sum(r * q - p.dim() for k, p in enumerate(tup.parts) if k != k0)
+    return rows, cols, rows * cols * min(rows, cols) + tup.s * (r**3 + q**3)
 
 
 def _sample_flag_tuples(tup: PositionTuple, field, rng) -> tuple[list[Flag], list[Flag]]:
@@ -173,16 +188,17 @@ def _min_sampled_dim(tup: PositionTuple, field, samples: int, rng, stop_at: Opti
 
     Draws ``samples`` flag tuples, stopping early at a draw whose dimension
     equals ``stop_at``.  Returns (dimension, source flags, target flags).
-    A stacked joint constraint matrix over ``MAX_ELIM_CELLS`` raises
-    ``BudgetError`` before any flag is drawn.
+    Samples whose cells (``_sample_cells``) add up to over ``MAX_ELIM_CELLS``
+    raise ``BudgetError`` before any flag is drawn.
     """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
-    cols = tup.cardinality * (tup.ground - tup.cardinality)
-    rows = sum(cols - p.dim() for p in tup.parts)
-    cells = rows * cols * min(rows, cols)
-    if cells > MAX_ELIM_CELLS:
-        raise BudgetError(f"joint constraints of {rows} x {cols} would take {cells} elimination cells, over {MAX_ELIM_CELLS}")
+    rows, cols, cells = _sample_cells(tup)
+    if samples * cells > MAX_ELIM_CELLS:
+        raise BudgetError(
+            f"{samples} samples of {cells} elimination cells each (reduced matrix {rows} x {cols}) "
+            f"would take {samples * cells}, over {MAX_ELIM_CELLS}"
+        )
     best = None
     for _ in range(samples):
         fs, gs = _sample_flag_tuples(tup, field, rng)
@@ -199,8 +215,7 @@ def tdim_estimate(tup: PositionTuple, field, samples: int, rng) -> int:
     return _min_sampled_dim(tup, field, samples, rng)[0]
 
 
-@dataclass
-class IntersectVerdict:
+class IntersectVerdict(NamedTuple):
     """Outcome of the randomized tangent-space test.
 
     kinds: "intersecting_certified" (exact, with a witness flag tuple),
@@ -275,13 +290,26 @@ def _h_basis_positions(subset: CardSubset) -> list[tuple[int, int]]:
     return [(a, b) for a, ia in enumerate(subset.elements, start=1) for b in range(1, ia - a + 1)]
 
 
+def check_delta_budget(tup: PositionTuple) -> None:
+    """Raise ``BudgetError`` if ``delta_determinant`` on ``tup`` would take over ``MAX_ELIM_CELLS``.
+
+    The tangent map is (s r q)-square, and drawing or inverting the 2s
+    matrices g_k, h_k costs s (r^3 + q^3); callers that draw them check first.
+    """
+    r, q = tup.cardinality, tup.ground - tup.cardinality
+    side = tup.s * r * q
+    cells = side**3 + tup.s * (r**3 + q**3)
+    if cells > MAX_ELIM_CELLS:
+        raise BudgetError(f"tangent map of {side} x {side} would take {cells} elimination cells, over {MAX_ELIM_CELLS}")
+
+
 def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[Mat]):
     """Determinant of the tangent map at (g_vec, h_vec) for an edim-0 tuple.
 
     Bases are fixed once and for all: elementary matrices ordered by (a, b)
     on every Hom block and on each H_{I_k} at standard flags, which pins the
-    sign of the result.  A tangent map with (s r q)^3 over ``MAX_ELIM_CELLS``
-    raises ``BudgetError`` before any inverse is taken.
+    sign of the result.  A tuple over ``check_delta_budget`` raises
+    ``BudgetError`` before any inverse is taken.
     """
     if tup.edim() != 0:
         raise DomainError(f"determinant needs edim == 0, got {tup.edim()}")
@@ -296,8 +324,7 @@ def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[
         raise ShapeError(f"source matrices must be {r} x {r}")
     if any(h.nrows != q or h.ncols != q for h in h_vec):
         raise ShapeError(f"target matrices must be {q} x {q}")
-    if n_cols ** 3 > MAX_ELIM_CELLS:
-        raise BudgetError(f"tangent map of {n_cols} x {n_cols} would take {n_cols ** 3} elimination cells, over {MAX_ELIM_CELLS}")
+    check_delta_budget(tup)
     g_invs = [inverse(g) for g in g_vec]  # raises DomainError when singular
     for h in h_vec:
         inverse(h)

@@ -10,8 +10,7 @@ everything else is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BudgetError, DomainError
 from .subsets import CardSubset
@@ -26,8 +25,7 @@ DEFAULT_TOLERANCE = 1e-9
 MAX_TRIAL_WORK = 10**6
 
 
-@dataclass
-class VariationalReport:
+class VariationalReport(NamedTuple):
     ok: bool
     lower_bound: float
     equality_error: float
@@ -37,15 +35,7 @@ class VariationalReport:
     failures: list
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "lower_bound": self.lower_bound,
-            "equality_error": self.equality_error,
-            "min_trace": self.min_trace,
-            "min_margin": self.min_margin,
-            "trials": self.trials,
-            "failures": self.failures,
-        }
+        return self._asdict()
 
 
 def _random_unitary(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -78,6 +68,13 @@ def _cell_sample_float(gen: np.random.Generator, eigvecs: np.ndarray, subset: Ca
     return q
 
 
+def check_trial_budget(r: int, trials: int) -> None:
+    """Raise ``BudgetError`` if ``trials`` at rank r are over ``MAX_TRIAL_WORK``; callers that draw the spectrum check first."""
+    work = (trials + 1) * max(r, 4) ** 3
+    if work > MAX_TRIAL_WORK:
+        raise BudgetError(f"{trials} trials at r = {r}: (trials + 1) * max(r, 4)**3 = {work}, over {MAX_TRIAL_WORK}")
+
+
 def variational_check(
     xi: Sequence[float],
     subset: CardSubset | Sequence[int],
@@ -99,9 +96,7 @@ def variational_check(
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials}")
-    work = (trials + 1) * max(r, 4) ** 3
-    if work > MAX_TRIAL_WORK:
-        raise BudgetError(f"{trials} trials at r = {r}: (trials + 1) * max(r, 4)**3 = {work}, over {MAX_TRIAL_WORK}")
+    check_trial_budget(r, trials)
     if any(a < b for a, b in zip(xi, xi[1:])):
         raise DomainError("spectrum must be nonincreasing")
     if not isinstance(subset, CardSubset):

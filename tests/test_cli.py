@@ -1,8 +1,14 @@
+import importlib
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import horncalc
 from horncalc import cli
 from horncalc.cli import main
 
@@ -91,12 +97,14 @@ class TestHornCommands:
         ["variational", "demo", "--r", "3", "--j", "[1]", "--tolerance", "nan"],
         ["variational", "demo", "--r", "3", "--j", "[1]", "--trials", "-1"],
         # over the elimination and trial budgets: refused before any sampling
-        ["intersect", "certify", "--n", "60", "--tuple",
-         json.dumps([list(range(1, 31)), list(range(31, 61)), list(range(31, 61))])],
+        # (three parts {13..30} of [36]: one sample eliminates 216 x 216 x 216 cells)
+        ["intersect", "certify", "--n", "36", "--tuple", json.dumps([list(range(13, 31))] * 3)],
         ["variational", "demo", "--r", "2", "--j", "[1]", "--trials", "100000000"],
         # a 1200 x 1200 tangent map, refused before any inverse
         ["delta", "eval", "--n", "40", "--tuple",
          json.dumps([list(range(1, 21)), list(range(21, 41)), list(range(21, 41))])],
+        # a non-intersecting tuple never stops early: the samples are budgeted together
+        ["intersect", "certify", "--n", "4", "--tuple", "[[1,4],[2,3]]", "--samples", "1000000000"],
     ],
 )
 def test_bad_arguments_exit_2(capsys, tmp_path, argv):
@@ -165,7 +173,7 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     def broken(*_args):
         raise KeyError("boom")
 
-    monkeypatch.setattr(cli, "horn_member", broken)
+    monkeypatch.setattr("horncalc.horn.horn_member", broken)
     assert main(["horn", "check", "--n", "4", "--tuple", "[[1,4],[2,4]]"]) == 3
     assert "KeyError" in capsys.readouterr().err
 
@@ -186,6 +194,14 @@ class TestCertifyCommand:
             capsys, "intersect", "certify", "--n", "4", "--tuple", "[[1,4],[2,3]]", "--seed", "9"
         )
         assert code == 1 and obj["kind"] == "not_intersecting_mc"
+
+    def test_large_tuple_with_empty_reduced_matrix(self, capsys):
+        # r = 30: the stacked joint matrix is 1800 x 900, the reduced one has no columns
+        tup = json.dumps([list(range(1, 31)), list(range(31, 61)), list(range(31, 61))])
+        start = time.perf_counter()
+        code, obj = run_json(capsys, "intersect", "certify", "--n", "60", "--tuple", tup)
+        assert time.perf_counter() - start < 5
+        assert code == 0 and obj["kind"] == "intersecting_certified" and obj["min_observed_dim"] == 0
 
     def test_rational_mode(self, capsys):
         code, obj = run_json(
@@ -375,3 +391,140 @@ def test_determinism_across_commands(capsys):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# ---------------------------------------------------------------- start-up
+
+
+def fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this horncalc."""
+    src = os.path.dirname(os.path.dirname(horncalc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+LOADED = (
+    "import json, sys; print(json.dumps(sorted(m for m in sys.modules"
+    " if m.startswith('horncalc') or m in ('dataclasses', 'inspect', 'numpy'))))"
+)
+
+
+def test_cli_import_loads_only_errors():
+    assert json.loads(fresh("import horncalc.cli; " + LOADED)) == [
+        "horncalc",
+        "horncalc.cli",
+        "horncalc.errors",
+    ]
+
+
+def test_horn_check_loads_no_geometry():
+    out = fresh(
+        "import contextlib, io\n"
+        "from horncalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['horn', 'check', '--n', '4', '--tuple', '[[1,4],[2,4]]']) == 0\n" + LOADED
+    )
+    loaded = set(json.loads(out))
+    assert "horncalc.horn" in loaded
+    assert not loaded & {f"horncalc.{m}" for m in ("tangent", "matrices", "flags", "fields")}
+    assert not loaded & {"dataclasses", "inspect", "numpy"}
+
+
+def test_no_module_loads_dataclasses():
+    names = sorted(set(horncalc._EXPORTS.values()) | {"cli", "rng", "tables"})
+    out = fresh("".join(f"import horncalc.{m}; " for m in names) + LOADED)
+    assert not set(json.loads(out)) & {"dataclasses", "inspect", "numpy"}
+
+
+def test_lazy_namespace():
+    assert horncalc.__all__ and set(horncalc.__all__) <= set(dir(horncalc))
+    for name in horncalc.__all__:
+        module = importlib.import_module(f"horncalc.{horncalc._EXPORTS[name]}")
+        assert getattr(horncalc, name) is getattr(module, name), name
+    from horncalc import horn, horn_member
+
+    assert horn_member is horn.horn_member and horncalc.horn is horn
+    assert horncalc.tables is importlib.import_module("horncalc.tables")
+    with pytest.raises(AttributeError):
+        horncalc.no_such_name
+    with pytest.raises(ImportError):
+        from horncalc import no_such_name  # noqa: F401
+
+
+# ---------------------------------------------------------------- fuzz
+
+JUNK = [0, 1, -1, 2, 10**40, -(10**40), 0.5, 1e308, "a", "", "1/0", True, None, {}, {"a": 1}, [], [[]]]
+SIZES = ["0", "1", "2", "3", "4", "6", "12", "1000", "1000000", "1000000000000000000", "-5"]
+# (argv before the value, a valid value, argv after it); "{n}", "{k}", "{q}" are sizes
+TEMPLATES = [
+    (["horn", "check", "--n", "{n}", "--tuple"], [[1, 4], [2, 4]], []),
+    (["intersect", "certify", "--n", "{n}", "--tuple"], [[1, 4], [2, 4]], ["--samples", "{k}"]),
+    (["delta", "eval", "--n", "{n}", "--tuple"], [[1, 3], [2, 4], [3, 4]], []),
+    (["kirwan", "check", "--xi"], [[1, 0], [0, -1], [0, 0]], []),
+    (["lr", "nonzero", "--lambda"], [[1, 0], [1, 0], [2, 0]], []),
+    (["cell", "sample", "--n", "{n}", "--subset"], [1, 3], []),
+    (["hn", "search", "--r", "{n}", "--theta"], [[-1, 0], [0, 1], [0, 0]], ["--q", "{q}"]),
+    (["variational", "demo", "--r", "{n}", "--j"], [1, 2], []),
+    (["variational", "demo", "--r", "{n}", "--j", "[1]", "--xi"], [1, 0, -1], ["--trials", "{k}"]),
+    (["pos", "compute", "--flag", "{file}", "--subspace", "{file}"], [[1, 0], [0, 1]], []),
+]
+
+
+def _leaves(v, path=()):
+    if isinstance(v, list):
+        for i, x in enumerate(v):
+            yield from _leaves(x, path + (i,))
+    else:
+        yield path
+
+
+def _replace(v, path, new):
+    if not path:
+        return new
+    return [_replace(x, path[1:], new) if i == path[0] else x for i, x in enumerate(v)]
+
+
+def _mutate(rnd, v):
+    kind = rnd.randrange(7)
+    if kind == 0:  # nested too deep
+        return rnd.choice([[v], [[v]]])
+    if kind == 1:  # nested too shallow
+        return [x for part in v for x in (part if isinstance(part, list) else [part])] or 1
+    if kind == 2:  # one entry of a wrong type or size
+        return _replace(v, rnd.choice(list(_leaves(v))), rnd.choice(JUNK))
+    if kind == 3:  # empty lists
+        return rnd.choice([[], [[]], [[], []], [[]] * 3])
+    if kind == 4:  # many parts
+        return [v[0]] * rnd.choice([4, 50, 1000])
+    if kind == 5:  # long parts
+        k = rnd.choice([30, 200, 2000])
+        return [list(range(1, k + 1)) for _ in v] if isinstance(v[0], list) else list(range(1, k + 1))
+    return rnd.choice(JUNK)
+
+
+def fuzz_cases(seed: int, count: int):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        before, valid, after = rnd.choice(TEMPLATES)
+        value = valid if rnd.random() < 0.1 else _mutate(rnd, valid)
+        sizes = {"n": rnd.choice(SIZES), "k": rnd.choice(["1", "3", "1000000000"]), "q": rnd.choice(["2", "3", "4", "1000000007"])}
+        yield [a.format(**sizes, file="{file}") for a in before], value, [a.format(**sizes) for a in after]
+
+
+def test_fuzz_json_flags_exit_0_1_2(capsys, tmp_path):
+    # handler imports run inside main's try, so an import slip would exit 3 here
+    matrix = tmp_path / "m.json"
+    for before, value, after in fuzz_cases(seed=2026, count=240):
+        if "{file}" in before:
+            matrix.write_text(json.dumps({"field": "rational", "entries": value}))
+            argv = [str(matrix) if a == "{file}" else a for a in before] + after
+        else:
+            argv = before + [json.dumps(value)] + after
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, err)
+        assert elapsed < 5, (argv, elapsed)
+        assert "Traceback" not in err, argv

@@ -249,15 +249,21 @@ class TestCertify:
 
 
 class TestSamplingBudget:
-    # ([1..r], [r+1..2r], [r+1..2r]) has edim 0 and an r^2 x r^2 joint matrix
+    # ([1..r], [r+1..2r], [r+1..2r]) has edim 0 and an r^2 x r^2 stacked joint
+    # matrix, but its first part has no free slots: the reduced matrix is empty
     @staticmethod
     def square_tuple(r):
         return pt(2 * r, list(range(1, r + 1)), list(range(r + 1, 2 * r + 1)), list(range(r + 1, 2 * r + 1)))
 
+    # three parts {13..30} of [36] (r = 18): dim 216 each, edim 0, and a
+    # reduced matrix of 2 x 108 rows over 216 columns
+    WIDE = pt(36, *[list(range(13, 31))] * 3)
+
     def test_over_budget_raises_before_any_draw(self):
-        # (r^2)^3 cells: r = 14 is admitted, r = 15 is over the cap
+        # the cap lies between 196^3 and 225^3; one sample of WIDE eliminates 216^3 cells
         assert 196 ** 3 <= MAX_ELIM_CELLS < 225 ** 3
-        t = self.square_tuple(15)
+        assert 216 ** 3 > MAX_ELIM_CELLS
+        t = self.WIDE
         for call in (
             lambda rng: certify_intersecting(t, GFP, 3, rng),
             lambda rng: tdim_estimate(t, QQ, 1, rng),
@@ -267,6 +273,22 @@ class TestSamplingBudget:
             with pytest.raises(BudgetError):
                 call(rng)
             assert rng.getstate() == state
+
+    def test_samples_count_against_the_budget(self):
+        # per sample at r = q = 2, s = 2: 2 x 2 x 2 cells of elimination and 2 (8 + 8) of flags
+        t = pt(4, [1, 4], [2, 3])
+        assert tdim_estimate(t, GFP, 3, rngmod.spawn(38, 0)) >= 0
+        for samples in (10**6, 10**9):
+            rng = rngmod.spawn(38, 0)
+            state = rng.getstate()
+            with pytest.raises(BudgetError, match=f"{samples} samples of 40 elimination cells each"):
+                tdim_estimate(t, GFP, samples, rng)
+            assert rng.getstate() == state
+
+    def test_empty_reduced_matrix_is_admitted(self):
+        # the stacked matrix of the r = 15 square tuple is 450 x 225, the reduced one 450 x 0
+        verdict = certify_intersecting(self.square_tuple(15), GFP, 3, rngmod.spawn(39, 0))
+        assert verdict.kind == "intersecting_certified" and verdict.min_observed_dim == 0
 
 
 class TestKernelCompositionCompatibility:
