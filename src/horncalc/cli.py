@@ -269,7 +269,7 @@ def _cmd_pos_compute(args) -> int:
     field_s, sub_mat = _load_matrix_file(args.subspace)
     if field_f != field_s:
         raise DomainError("flag and subspace files use different fields")
-    check_flag_budget(flag_mat.nrows)
+    check_flag_budget(flag_mat.nrows, field_f)
     flag = Flag(field_f, flag_mat)
     pos = position(SubspaceBasis(field_s, sub_mat), flag)
     _emit({"position": list(pos.elements), "ground": pos.ground})
@@ -282,7 +282,6 @@ def _cmd_cell_sample(args) -> int:
     from .subsets import CardSubset
 
     subset = CardSubset(args.n, tuple(_json_arg(args.subset, "--subset", 1)))
-    check_flag_budget(args.n)  # before any flag is built or read
     field = _field_from_args(args, default="rational")
     rng = rngmod.spawn(args.seed, 0)
     if args.flag:
@@ -290,8 +289,10 @@ def _cmd_cell_sample(args) -> int:
         if flag_field != field and (args.field is not None or args.prime is not None):
             raise DomainError("the --flag file's field differs from the --field/--prime given")
         field = flag_field
+        check_flag_budget(fmat.nrows, field)  # before the flag is built
         flag = Flag(field, fmat)
     else:
+        check_flag_budget(args.n, field)
         flag = Flag.standard(field, args.n)
     sample = sample_cell_point(subset, flag, rng)
     _emit(
@@ -349,7 +350,7 @@ def _cmd_delta_eval(args) -> int:
     from .tangent import check_delta_budget, delta_determinant
 
     tup = _tuple_from_args(args)
-    check_delta_budget(tup)  # before any matrix is drawn
+    check_delta_budget(tup, QQ)  # before any matrix is drawn
     rng = rngmod.spawn(args.seed, 0)
     r, q = tup.cardinality, tup.ground - tup.cardinality
     gs = [random_invertible(QQ, r, rng) for _ in range(tup.s)]

@@ -72,6 +72,8 @@ def _dot(self, xs, ys):
 
 class RationalField:
     name = "rational"
+    # an elimination cell, in GF(p) cells (``matrices.check_elim_cells``)
+    cell_cost = 64
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -128,6 +130,8 @@ class RationalField:
 
 
 class PrimeField:
+    cell_cost = 1
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
@@ -262,6 +266,7 @@ class Sqrt5Field:
     """The quadratic extension Q(sqrt 5), written as a + b*s5 in serial form."""
 
     name = "Q(sqrt5)"
+    cell_cost = 256
     zero = Sqrt5(0)
     one = Sqrt5(1)
 

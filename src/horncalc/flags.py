@@ -15,8 +15,8 @@ need.
 
 from __future__ import annotations
 
-from .errors import BudgetError, DomainError, ShapeError
-from .matrices import MAX_ELIM_CELLS, Mat, _eliminate, inverse, random_matrix, rank, rref, solve_exact
+from .errors import DomainError, ShapeError
+from .matrices import Mat, _eliminate, check_elim_cells, inverse, random_matrix, rank, rref, solve_exact
 from .subsets import CardSubset
 
 
@@ -209,14 +209,13 @@ def shuffle_matrix(field, subset: CardSubset) -> Mat:
     return m
 
 
-def check_flag_budget(n: int) -> None:
-    """Raise ``BudgetError`` if work with a flag of an n-space is over ``MAX_ELIM_CELLS``.
+def check_flag_budget(n: int, field) -> None:
+    """Raise ``BudgetError`` if work with a flag of an n-space over ``field`` is over budget.
 
     Building, inverting or multiplying by the n x n flag matrix takes n^3
     cells; callers that build the flag themselves check before building it.
     """
-    if n**3 > MAX_ELIM_CELLS:
-        raise BudgetError(f"a flag of a {n}-dimensional space takes {n**3} elimination cells, over {MAX_ELIM_CELLS}")
+    check_elim_cells(field, n**3, f"a flag of a {n}-dimensional space")
 
 
 def sample_cell_point(subset: CardSubset, flag: Flag, rng) -> SubspaceBasis:
@@ -228,7 +227,7 @@ def sample_cell_point(subset: CardSubset, flag: Flag, rng) -> SubspaceBasis:
     """
     if subset.ground != flag.space_dim:
         raise ShapeError(f"subset ground {subset.ground} != flag dimension {flag.space_dim}")
-    check_flag_budget(subset.ground)
+    check_flag_budget(subset.ground, flag.field)
     f = flag.field
     n, r = subset.ground, subset.cardinality
     cols = []

@@ -13,12 +13,27 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import DomainError, ShapeError
+from .errors import BudgetError, DomainError, ShapeError
 
 # Budget of one call's eliminations and products on the geometric route, in
-# multiply-add cells (an n x n elimination or product is n^3): at most about
-# a second over GF(2^31 - 1), longer over Q.
+# multiply-add cells over GF(p) (an n x n elimination or product is n^3):
+# at most about a second over GF(2^31 - 1).  A cell over another field
+# counts as its ``cell_cost`` GF(p) cells, so the budget holds about as long.
 MAX_ELIM_CELLS = 10**7
+
+
+def check_elim_cells(field, cells: int, what: str) -> None:
+    """Raise ``BudgetError`` if ``cells`` cells over ``field`` are over ``MAX_ELIM_CELLS``.
+
+    Each cell counts ``field.cell_cost`` GF(p) cells: measured on CPython,
+    an elimination or product cell over Q costs 30-150 cells over
+    GF(2^31 - 1), the larger figure for inverses whose fractions grow, and
+    one over Q(sqrt 5) about four cells over Q.
+    """
+    cost = field.cell_cost
+    if cells * cost > MAX_ELIM_CELLS:
+        each = "" if cost == 1 else f" at {cost} GF(p) cells each over {field.name}"
+        raise BudgetError(f"{what} would take {cells} elimination cells{each}, over {MAX_ELIM_CELLS}")
 
 
 class Mat:

@@ -19,10 +19,11 @@ H_I(F, G) = G H_I(E, E) F^{-1}, so the part with the fewest free slots is
 parametrised by its own slots at standard flags and only the other parts'
 constraints are eliminated: a matrix with dim I_k0 columns instead of the
 stacked r(n-r) columns of every part, with the same kernel dimension for
-every field and every flag tuple.  The sampling budget ``MAX_ELIM_CELLS``
-covers every sample of a call: each costs the reduced elimination plus
-drawing and multiplying its 2s flags.  ``delta_determinant`` is budgeted
-the same way (``check_delta_budget``).
+every field and every flag tuple.  The elimination budget
+(``matrices.check_elim_cells``, weighted by field) covers every sample of
+a call: each costs the reduced elimination plus drawing and multiplying
+its 2s flags.  ``delta_determinant`` is budgeted the same way
+(``check_delta_budget``).
 
 When edim is zero the tangent map
 
@@ -37,9 +38,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import BudgetError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .flags import Flag
-from .matrices import MAX_ELIM_CELLS, Mat, det, inverse, kernel_basis, rank
+from .matrices import Mat, check_elim_cells, det, inverse, kernel_basis, rank
 from .subsets import CardSubset, PositionTuple, Weight
 
 
@@ -188,17 +189,14 @@ def _min_sampled_dim(tup: PositionTuple, field, samples: int, rng, stop_at: Opti
 
     Draws ``samples`` flag tuples, stopping early at a draw whose dimension
     equals ``stop_at``.  Returns (dimension, source flags, target flags).
-    Samples whose cells (``_sample_cells``) add up to over ``MAX_ELIM_CELLS``
-    raise ``BudgetError`` before any flag is drawn.
+    Samples whose cells (``_sample_cells``) add up to over the budget
+    (``check_elim_cells``) raise ``BudgetError`` before any flag is drawn.
     """
     if samples < 1:
         raise DomainError(f"need at least one sample, got {samples}")
     rows, cols, cells = _sample_cells(tup)
-    if samples * cells > MAX_ELIM_CELLS:
-        raise BudgetError(
-            f"{samples} samples of {cells} elimination cells each (reduced matrix {rows} x {cols}) "
-            f"would take {samples * cells}, over {MAX_ELIM_CELLS}"
-        )
+    what = f"{samples} samples of {cells} elimination cells each (reduced matrix {rows} x {cols})"
+    check_elim_cells(field, samples * cells, what)
     best = None
     for _ in range(samples):
         fs, gs = _sample_flag_tuples(tup, field, rng)
@@ -290,17 +288,15 @@ def _h_basis_positions(subset: CardSubset) -> list[tuple[int, int]]:
     return [(a, b) for a, ia in enumerate(subset.elements, start=1) for b in range(1, ia - a + 1)]
 
 
-def check_delta_budget(tup: PositionTuple) -> None:
-    """Raise ``BudgetError`` if ``delta_determinant`` on ``tup`` would take over ``MAX_ELIM_CELLS``.
+def check_delta_budget(tup: PositionTuple, field) -> None:
+    """Raise ``BudgetError`` if ``delta_determinant`` on ``tup`` over ``field`` is over budget.
 
     The tangent map is (s r q)-square, and drawing or inverting the 2s
     matrices g_k, h_k costs s (r^3 + q^3); callers that draw them check first.
     """
     r, q = tup.cardinality, tup.ground - tup.cardinality
     side = tup.s * r * q
-    cells = side**3 + tup.s * (r**3 + q**3)
-    if cells > MAX_ELIM_CELLS:
-        raise BudgetError(f"tangent map of {side} x {side} would take {cells} elimination cells, over {MAX_ELIM_CELLS}")
+    check_elim_cells(field, side**3 + tup.s * (r**3 + q**3), f"a tangent map of {side} x {side}")
 
 
 def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[Mat]):
@@ -324,7 +320,7 @@ def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[
         raise ShapeError(f"source matrices must be {r} x {r}")
     if any(h.nrows != q or h.ncols != q for h in h_vec):
         raise ShapeError(f"target matrices must be {q} x {q}")
-    check_delta_budget(tup)
+    check_delta_budget(tup, fld)
     g_invs = [inverse(g) for g in g_vec]  # raises DomainError when singular
     for h in h_vec:
         inverse(h)

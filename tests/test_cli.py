@@ -337,6 +337,52 @@ class TestGeometryCommands:
     def test_hn_budget(self, capsys):
         assert main(["hn", "search", "--r", "5", "--q", "31", "--seed", "1", "--budget", "10"]) == 2
 
+    # stdout recorded from the scan that computed each subspace's position with ``position``
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ["--r", "4", "--q", "3", "--s", "3", "--seed", "4"],
+                '{"dim": 1, "minimizer": [["1"], ["0"], ["0"], ["2"]], "multiplicity": 1, "q": 3, "r": 4, "seed": 4, "slope": [1, 1], "subspaces_scanned": 211, "thetas": [[-1, 0, 0, 3], [1, 1, 2, 4], [-3, -1, 2, 4]]}',
+            ),
+            (
+                ["--r", "5", "--q", "2", "--s", "2", "--seed", "1"],
+                '{"dim": 1, "minimizer": [["1"], ["0"], ["0"], ["0"], ["0"]], "multiplicity": 1, "q": 2, "r": 5, "seed": 1, "slope": [-2, 1], "subspaces_scanned": 373, "thetas": [[-4, 0, 2, 3, 3], [-4, -4, 0, 1, 4]]}',
+            ),
+            # repeated weight entries: equal slopes within and across dimensions
+            (
+                ["--r", "3", "--q", "5", "--s", "4", "--seed", "1", "--theta", "[[-1,-1,1],[-1,-1,1],[0,0,0],[0,0,0]]"],
+                '{"dim": 1, "minimizer": [["0"], ["0"], ["1"]], "multiplicity": 1, "q": 5, "r": 3, "seed": 1, "slope": [-2, 1], "subspaces_scanned": 63, "thetas": [[-1, -1, 1], [-1, -1, 1], [0, 0, 0], [0, 0, 0]]}',
+            ),
+        ],
+    )
+    def test_hn_search_stdout_pinned(self, capsys, argv, stdout):
+        assert run(capsys, "hn", "search", *argv) == (0, stdout + "\n")
+
+    def test_hn_large_field_refused_before_any_flag(self, capsys, monkeypatch):
+        from horncalc.flags import Flag
+
+        def no_draw(*_args):
+            raise RuntimeError("a flag was drawn")
+
+        monkeypatch.setattr(Flag, "random", no_draw)
+        start = time.perf_counter()
+        assert main(["hn", "search", "--r", "2", "--q", "2147483647"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "budget" in capsys.readouterr().err
+
+    def test_rational_work_weighed_by_field(self, capsys):
+        # a cell over Q counts 64 GF(p) cells: these took 3-9 s over Q when every field's cell counted one
+        for argv in (
+            ["delta", "eval", "--n", "40", "--tuple", "[[],[],[]]"],
+            ["cell", "sample", "--n", "120", "--subset", "[1,3]"],
+        ):
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 1
+            assert "at 64 GF(p) cells each over rational" in capsys.readouterr().err
+        assert main(["cell", "sample", "--n", "120", "--subset", "[1,3]", "--prime", "7"]) == 0
+
     def test_delta_eval(self, capsys):
         code, obj = run_json(
             capsys, "delta", "eval", "--n", "3", "--tuple", "[[1,2],[2,3],[2,3]]", "--seed", "6"

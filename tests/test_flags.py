@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -345,6 +346,54 @@ class TestHarderNarasimhan:
         # GF(q)^0 has no nonzero subspace, so there is no minimizer to report
         with pytest.raises(DomainError):
             hn_minimizer_exhaustive([Flag.standard(PrimeField(2), 0)], [Weight(())])
+
+    @staticmethod
+    def reference_scan(flags, thetas):
+        """The scan by definition: position and slope of every subspace in enumeration order."""
+        field, r = flags[0].field, flags[0].space_dim
+        best_key = best = None
+        multiplicity = scanned = 0
+        for d in range(1, r + 1):
+            for sub in rref_subspaces(field, r, d):
+                scanned += 1
+                key = (slope(PositionTuple(tuple(position(sub, fl) for fl in flags)), thetas), -d)
+                if best_key is None or key < best_key:
+                    best_key, best, multiplicity = key, sub, 1
+                elif key == best_key:
+                    multiplicity += 1
+        return best.mat.to_lists(), best_key[0], multiplicity, scanned
+
+    def test_matches_reference_scan(self):
+        # random, all-zero and two-valued weights; the zero and two-valued
+        # ones tie subspaces within a dimension and across dimensions, where
+        # the larger dimension must win.  (Antidominant weights have a unique
+        # optimum, the Harder-Narasimhan lemma, so multiplicity stays 1.)
+        rnd = random.Random(20)
+        for q in (2, 3, 5, 7):
+            field = PrimeField(q)
+            for r in range(1, 5):
+                for s in range(1, 5):
+                    mode = (q + r + s) % 3
+                    if mode == 0:
+                        thetas = [Weight(sorted(rnd.randrange(-4, 5) for _ in range(r))) for _ in range(s)]
+                    elif mode == 1:
+                        thetas = [Weight((0,) * r)] * s
+                    else:
+                        thetas = [Weight(sorted(rnd.choice((-1, 1)) for _ in range(r))) for _ in range(s)]
+                    flags = [Flag.random(field, r, rnd) for _ in range(s)]
+                    res = hn_minimizer_exhaustive(flags, thetas)
+                    got = (res.minimizer.mat.to_lists(), res.slope, res.multiplicity, res.scanned)
+                    assert got == self.reference_scan(flags, thetas), (q, r, s, mode)
+
+    @pytest.mark.parametrize("r, q", [(1, 2**31 - 1), (2, 997)])
+    def test_large_field_needs_no_field_sized_table(self, r, q):
+        # the scan's cost follows the subspaces it visits (1 and 999 here), not q
+        field = PrimeField(q)
+        flags = [Flag.random(field, r, random.Random(22)) for _ in range(3)]
+        start = time.perf_counter()
+        res = hn_minimizer_exhaustive(flags, [Weight((-1,) + (0,) * (r - 1))] * 3)
+        assert time.perf_counter() - start < 1
+        assert res.scanned == (1 if r == 1 else q + 2) and res.multiplicity == 1
 
 
 def test_subspace_in_coordinates_roundtrip():

@@ -9,7 +9,9 @@ from horncalc.fields import QQ, SQRT5, DEFAULT_PRIME, PrimeField
 from horncalc.flags import Flag, SubspaceBasis, induced_flag_on_quotient, position
 from horncalc.horn import horn_member
 from horncalc.matrices import (
+    MAX_ELIM_CELLS,
     Mat,
+    check_elim_cells,
     det,
     inverse,
     kernel_basis,
@@ -19,9 +21,9 @@ from horncalc.matrices import (
 )
 from horncalc.subsets import CardSubset, PositionTuple, Weight, enumerate_subsets
 from horncalc.tangent import (
-    MAX_ELIM_CELLS,
     borel_character,
     certify_intersecting,
+    check_delta_budget,
     delta_determinant,
     h_constraint_rows,
     h_intersection_dim,
@@ -284,6 +286,22 @@ class TestSamplingBudget:
             with pytest.raises(BudgetError, match=f"{samples} samples of 40 elimination cells each"):
                 tdim_estimate(t, GFP, samples, rng)
             assert rng.getstate() == state
+
+    def test_cells_weighed_by_field(self):
+        # 25,000 samples of 40 cells fit the budget over GF(p), not over Q or Q(sqrt5)
+        t = pt(4, [1, 4], [2, 3])
+        check_elim_cells(GFP, 25000 * 40, "")
+        for field, cost in ((QQ, 64), (SQRT5, 256)):
+            rng = rngmod.spawn(38, 0)
+            state = rng.getstate()
+            with pytest.raises(BudgetError, match=rf"25000 samples .* at {cost} GF\(p\) cells each over"):
+                tdim_estimate(t, field, 25000, rng)
+            assert rng.getstate() == state
+        # a 0 x 0 tangent map still draws and inverts three 40 x 40 matrices
+        empty = PositionTuple.from_lists(40, [[], [], []])
+        check_delta_budget(empty, GFP)
+        with pytest.raises(BudgetError, match="192000 elimination cells at 64"):
+            check_delta_budget(empty, QQ)
 
     def test_empty_reduced_matrix_is_admitted(self):
         # the stacked matrix of the r = 15 square tuple is 450 x 225, the reduced one 450 x 0
