@@ -11,6 +11,11 @@ same reduction, carried through the back pass, yields the unique
 cell-normal-form basis (coefficient one on the pivot row, zeros on the
 other pivot rows and below), which is what the induced-flag constructions
 need.
+
+``sample_cell_point`` works in the chart of ``CardSubset.cell_slots``: in
+flag coordinates a point of the cell at I has basis columns with a one at
+row I(a) and free entries at the complement rows Ic(b) for the slots
+(a, b), b <= I(a) - a; these are exactly its normal-form coordinates.
 """
 
 from __future__ import annotations
@@ -195,20 +200,6 @@ def induced_flag_on_quotient(flag: Flag, subspace: SubspaceBasis) -> QuotientSpa
     return QuotientSpace(flag.field, subspace, pos, complement_cols)
 
 
-def shuffle_matrix(field, subset: CardSubset) -> Mat:
-    """Matrix (in adapted-basis coordinates) of the inverse shuffle operator.
-
-    Column a maps the a-th basis vector to position sigma(a), where sigma
-    lists the subset first and then its complement.
-    """
-    n = subset.ground
-    sigma = subset.shuffle_permutation()
-    m = Mat.zeros(field, n, n)
-    for a in range(1, n + 1):
-        m.rows[sigma[a - 1] - 1][a - 1] = field.one
-    return m
-
-
 def check_flag_budget(n: int, field) -> None:
     """Raise ``BudgetError`` if work with a flag of an n-space over ``field`` is over budget.
 
@@ -221,25 +212,21 @@ def check_flag_budget(n: int, field) -> None:
 def sample_cell_point(subset: CardSubset, flag: Flag, rng) -> SubspaceBasis:
     """Uniform-ish random point of the open Schubert cell at ``subset``.
 
-    Built as shuffle^{-1} (id + phi) applied to the span of the first r
-    adapted vectors, with phi a random strictly-constrained map; the
-    position is re-verified before returning.
+    In flag coordinates column a has a one at row I(a) and a random entry
+    at row Ic(b) for each slot (a, b) of ``subset.cell_slots()``, drawn in
+    slot order; the position is re-verified before returning.
     """
     if subset.ground != flag.space_dim:
         raise ShapeError(f"subset ground {subset.ground} != flag dimension {flag.space_dim}")
     check_flag_budget(subset.ground, flag.field)
     f = flag.field
-    n, r = subset.ground, subset.cardinality
-    cols = []
-    for a, ia in enumerate(subset.elements, start=1):
-        col = [f.zero] * n
-        col[a - 1] = f.one
-        for b in range(1, ia - a + 1):
-            col[r + b - 1] = f.random(rng)
-        cols.append(col)
-    u_cols = Mat.from_columns(f, cols, n) if cols else Mat.zeros(f, n, 0)
-    w_inv = shuffle_matrix(f, subset)
-    sample = SubspaceBasis(f, flag.mat.mul(w_inv).mul(u_cols), check=bool(cols))
+    n, comp = subset.ground, subset.complement().elements
+    cols = [[f.zero] * n for _ in subset.elements]
+    for col, ia in zip(cols, subset.elements):
+        col[ia - 1] = f.one
+    for a, b in subset.cell_slots():
+        cols[a - 1][comp[b - 1] - 1] = f.random(rng)
+    sample = SubspaceBasis(f, flag.mat.mul(Mat.from_columns(f, cols, n)), check=bool(cols))
     assert position(sample, flag) == subset
     return sample
 

@@ -14,6 +14,12 @@ and composing with a map whose kernel has a known position:
 
 with J a d-subset of [r] and Jc its complement in [r].  ``I.exponent(J)``
 always equals ``I.quotient(J.complement())``.
+
+The cell at I has one chart, listed by ``I.cell_slots()``: the slots (a, b)
+with b <= I(a) - a.  A point of the cell is spanned by the columns
+e_{I(a)} + sum_b x_{a,b} e_{Ic(b)} over the free coordinates x at those
+slots (Ic(b) < I(a) exactly when b <= I(a) - a), and the elementary maps
+E_{b,a} at the same slots span the tangent space H_I at standard flags.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ class CardSubset(_Frozen):
     def dim(self) -> int:
         """Dimension of the Schubert cell at this position: sum(I(a) - a)."""
         return sum(x - a for a, x in enumerate(self.elements, start=1))
+
+    def cell_slots(self) -> list[tuple[int, int]]:
+        """Free coordinates (a, b) of the cell, b <= I(a) - a, in (a, b) order; there are ``dim()``."""
+        return [(a, b) for a, x in enumerate(self.elements, start=1) for b in range(1, x - a + 1)]
 
     def codim(self) -> int:
         r = self.cardinality

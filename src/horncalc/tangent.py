@@ -3,8 +3,12 @@
 For a position subset I and flags F (on the r-dim source) and G (on the
 (n-r)-dim target), H_I(F, G) is the space of maps sending the a-th flag step
 of F into step I(a) - a of G.  Since I(a) - a is nondecreasing it suffices
-to constrain the image of each adapted basis vector, giving
-r(n-r) - dim I independent equations at standard flags.
+to constrain the image of each adapted basis vector: phi lies in H_I(F, G)
+exactly when G^{-1} phi F vanishes outside the slots (a, b) of
+``CardSubset.cell_slots``, b <= I(a) - a.  The space has the basis
+G E_{b,a} F^{-1} over those slots, the chart of the Schubert cell carried
+into Hom; ``h_constraint_rows`` states the r(n-r) - dim I equations on the
+other entries one by one, as a reference.
 
 The joint space over an s-tuple has dimension >= edim for every choice of
 flags, with generic equality exactly when the tuple is intersecting.  Over
@@ -40,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError
 from .flags import Flag
-from .matrices import Mat, check_elim_cells, det, inverse, kernel_basis, rank
+from .matrices import Mat, check_elim_cells, det, inverse, rank
 from .subsets import CardSubset, PositionTuple, Weight
 
 
@@ -95,38 +99,37 @@ def h_constraint_rows(subset: CardSubset, f_flag: Flag, g_flag: Flag) -> list[li
     return rows
 
 
-def _vec_to_mat(fld, vec, r: int, q: int) -> Mat:
-    return Mat(fld, [[vec[a * q + b] for a in range(r)] for b in range(q)], r)
-
-
 def mat_to_vec(phi: Mat) -> list:
     q, r = phi.nrows, phi.ncols
     return [phi.rows[b][a] for a in range(r) for b in range(q)]
 
 
+def _slot_images(fld, h: Mat, g_inv: Mat, slots) -> list[list]:
+    """vec(h E_{b,a} g^{-1}) for each 1-based slot (a, b): column b of h times row a of g^{-1}.
+
+    The vec index of entry (i, j) is j * q + i, with q the rows of h.
+    """
+    mul = fld.mul
+    return [[mul(hrow[b - 1], x) for x in g_inv.rows[a - 1] for hrow in h.rows] for a, b in slots]
+
+
 def h_space_basis(subset: CardSubset, f_flag: Flag, g_flag: Flag) -> HomSpaceBasis:
-    """Exact basis of H_I(F, G)."""
+    """Exact basis of H_I(F, G): G E_{b,a} F^{-1} over the slots of ``subset.cell_slots()``."""
+    _check_shapes(subset, f_flag, g_flag)
     fld = f_flag.field
     r = subset.cardinality
     q = subset.ground - r
-    rows = h_constraint_rows(subset, f_flag, g_flag)
-    mat = Mat(fld, rows, r * q)
-    vecs = kernel_basis(mat)
-    return HomSpaceBasis(r, q, [_vec_to_mat(fld, v, r, q) for v in vecs])
+    vecs = _slot_images(fld, g_flag.mat, f_flag.inv(), subset.cell_slots())
+    return HomSpaceBasis(r, q, [Mat.from_columns(fld, [v[a * q:(a + 1) * q] for a in range(r)], q) for v in vecs])
 
 
 def phi_in_h_space(subset: CardSubset, f_flag: Flag, g_flag: Flag, phi: Mat) -> bool:
-    """Constraint-level membership test for a concrete map."""
+    """Whether G^{-1} phi F vanishes outside the slots of ``subset.cell_slots()``."""
+    _check_shapes(subset, f_flag, g_flag)
     fld = f_flag.field
-    vec = mat_to_vec(phi)
-    for row in h_constraint_rows(subset, f_flag, g_flag):
-        acc = fld.zero
-        for c, x in zip(row, vec):
-            if not fld.is_zero(c):
-                acc = fld.add(acc, fld.mul(c, x))
-        if not fld.is_zero(acc):
-            return False
-    return True
+    free = set(subset.cell_slots())
+    coords = g_flag.inv().mul(phi).mul(f_flag.mat).rows
+    return all(fld.is_zero(x) or (a, b) in free for b, row in enumerate(coords, 1) for a, x in enumerate(row, 1))
 
 
 def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> int:
@@ -145,7 +148,7 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
         if ff.field != fld:
             raise ShapeError("all flags must share one field")
     k0 = _reduced_part(tup)
-    slots = [(a - 1, b - 1) for a, b in _h_basis_positions(tup.parts[k0])]
+    slots = [(a - 1, b - 1) for a, b in tup.parts[k0].cell_slots()]
     f0_inv, g0, mul = f_flags[k0].inv(), g_flags[k0].mat, fld.mul
     rows = []
     for k, (subset, ff, gg) in enumerate(zip(tup.parts, f_flags, g_flags)):
@@ -272,20 +275,11 @@ def hom_conjugation_matrix(g: Mat, hmat: Mat) -> Mat:
     Basis order (a, b): index of E_{b,a} is a*q + b with q target rows.
     Its determinant is det(g)^{-q} det(h)^{r}.
     """
-    fld = g.field
     r, q = g.nrows, hmat.nrows
-    g_inv = inverse(g)
-    cols = []
-    for a in range(r):
-        for b in range(q):
-            image = [[fld.mul(hmat.rows[i][b], g_inv.rows[a][j]) for j in range(r)] for i in range(q)]
-            cols.append([image[bb][aa] for aa in range(r) for bb in range(q)])
-    return Mat.from_columns(fld, cols, r * q)
-
-
-def _h_basis_positions(subset: CardSubset) -> list[tuple[int, int]]:
-    """Elementary-matrix slots (a, b) of H_I at standard flags, ordered by (a, b)."""
-    return [(a, b) for a, ia in enumerate(subset.elements, start=1) for b in range(1, ia - a + 1)]
+    if hmat.ncols != q or hmat.field != g.field:
+        raise ShapeError(f"target matrix must be square over the source's field, got {hmat.shape()}")
+    slots = [(a, b) for a in range(1, r + 1) for b in range(1, q + 1)]
+    return Mat.from_columns(g.field, _slot_images(g.field, hmat, inverse(g), slots), r * q)
 
 
 def check_delta_budget(tup: PositionTuple, field) -> None:
@@ -303,9 +297,9 @@ def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[
     """Determinant of the tangent map at (g_vec, h_vec) for an edim-0 tuple.
 
     Bases are fixed once and for all: elementary matrices ordered by (a, b)
-    on every Hom block and on each H_{I_k} at standard flags, which pins the
-    sign of the result.  A tuple over ``check_delta_budget`` raises
-    ``BudgetError`` before any inverse is taken.
+    on every Hom block, and at the slots of ``cell_slots`` on each H_{I_k}
+    at standard flags, which pins the sign of the result.  A tuple over
+    ``check_delta_budget`` raises ``BudgetError`` before any inverse is taken.
     """
     if tup.edim() != 0:
         raise DomainError(f"determinant needs edim == 0, got {tup.edim()}")
@@ -320,33 +314,21 @@ def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[
         raise ShapeError(f"source matrices must be {r} x {r}")
     if any(h.nrows != q or h.ncols != q for h in h_vec):
         raise ShapeError(f"target matrices must be {q} x {q}")
+    if any(m.field != fld for m in (*g_vec, *h_vec)):
+        raise ShapeError("all matrices must share one field")
     check_delta_budget(tup, fld)
     g_invs = [inverse(g) for g in g_vec]  # raises DomainError when singular
     for h in h_vec:
         inverse(h)
 
     n_rows = tup.s * hom_dim
-    big = Mat.zeros(fld, n_rows, n_cols)
     # zeta block: identity into every target copy of Hom
-    for k in range(tup.s):
-        for idx in range(hom_dim):
-            big.rows[k * hom_dim + idx][idx] = fld.one
-    # phi blocks: image of E_{b,a} under phi |-> h_k phi g_k^{-1}
-    col = hom_dim
-    for k, subset in enumerate(tup.parts):
-        hk, ginv = h_vec[k], g_invs[k]
-        for (a, b) in _h_basis_positions(subset):
-            for j in range(r):
-                gv = ginv.rows[a - 1][j]
-                if fld.is_zero(gv):
-                    continue
-                for i in range(q):
-                    hv = hk.rows[i][b - 1]
-                    if fld.is_zero(hv):
-                        continue
-                    big.rows[k * hom_dim + j * q + i][col] = fld.mul(hv, gv)
-            col += 1
-    return det(big)
+    cols = [[fld.one if i % hom_dim == idx else fld.zero for i in range(n_rows)] for idx in range(hom_dim)]
+    # phi blocks: image of E_{b,a} under phi |-> h_k phi g_k^{-1}, in block k
+    pad = [fld.zero] * hom_dim
+    for k, (subset, h, g_inv) in enumerate(zip(tup.parts, h_vec, g_invs)):
+        cols += [pad * k + v + pad * (tup.s - 1 - k) for v in _slot_images(fld, h, g_inv, subset.cell_slots())]
+    return det(Mat.from_columns(fld, cols, n_rows))
 
 
 def borel_character(mu: Weight, b: Mat):

@@ -51,7 +51,6 @@ def _cell_sample_float(gen: np.random.Generator, eigvecs: np.ndarray, subset: Ca
     """Random point of the Schubert cell of the eigenflag, as an orthonormal basis."""
     import numpy as np
     n, d = subset.ground, subset.cardinality
-    sigma = subset.shuffle_permutation()
     cols = np.zeros((n, d), dtype=complex)
     for a, ia in enumerate(subset.elements, start=1):
         col = np.zeros(n, dtype=complex)
@@ -60,10 +59,9 @@ def _cell_sample_float(gen: np.random.Generator, eigvecs: np.ndarray, subset: Ca
         if free:
             col[d : d + free] = gen.standard_normal(free) + 1j * gen.standard_normal(free)
         cols[:, a - 1] = col
-    perm = np.zeros((n, n))
-    for a in range(1, n + 1):
-        perm[sigma[a - 1] - 1, a - 1] = 1.0
-    ambient = eigvecs @ perm @ cols
+    # eigenvectors in shuffle order, as a C-ordered copy: the operand's
+    # layout picks BLAS's summation order, so it is kept fixed
+    ambient = eigvecs.take([j - 1 for j in subset.shuffle_permutation()], axis=1) @ cols
     q, _ = np.linalg.qr(ambient)
     return q
 

@@ -5,7 +5,7 @@ import pytest
 
 from horncalc import rng as rngmod
 from horncalc.errors import BudgetError, DomainError, ShapeError
-from horncalc.fields import QQ, SQRT5, PrimeField
+from horncalc.fields import DEFAULT_PRIME, QQ, SQRT5, PrimeField
 from horncalc.flags import (
     Flag,
     SubspaceBasis,
@@ -269,6 +269,40 @@ class TestCellSampling:
                 for subset in enumerate_subsets(r, n):
                     sample = sample_cell_point(subset, flag, rng)
                     assert position(sample, flag) == subset
+
+    @pytest.mark.parametrize(
+        "field", [PrimeField(2), GF7, PrimeField(DEFAULT_PRIME), QQ, SQRT5], ids=lambda f: f.name
+    )
+    def test_matches_shuffle_reference(self, field):
+        # reference: F W^{-1} U, with U's column a equal to e_a plus draws at
+        # rows r + b, b <= I(a) - a, and W^{-1} sending e_a to e_{sigma(a)},
+        # sigma = I followed by its complement
+        rng = rngmod.spawn(18, 0)
+        pyrng = random.Random(18)
+        for _ in range(15):
+            n = pyrng.randrange(1, 7)
+            r = pyrng.randrange(0, n + 1)
+            subset = CardSubset(n, tuple(sorted(pyrng.sample(range(1, n + 1), r))))
+            for flag in (Flag.standard(field, n), Flag.random(field, n, rng)):
+                ref_rng = random.Random()
+                ref_rng.setstate(rng.getstate())
+                cols = []
+                for a, ia in enumerate(subset.elements, start=1):
+                    col = [field.zero] * n
+                    col[a - 1] = field.one
+                    for b in range(1, ia - a + 1):
+                        col[r + b - 1] = field.random(ref_rng)
+                    cols.append(col)
+                w_inv = Mat.zeros(field, n, n)
+                for a, sa in enumerate(subset.shuffle_permutation(), start=1):
+                    w_inv.rows[sa - 1][a - 1] = field.one
+                chart = w_inv.mul(Mat.from_columns(field, cols, n))
+                sample = sample_cell_point(subset, flag, rng)
+                assert sample.mat == flag.mat.mul(chart)
+                assert rng.getstate() == ref_rng.getstate()
+                if r:
+                    # the chart columns are the sample's cell normal form
+                    assert cell_normal_basis(sample, flag)[1] == chart
 
     def test_degeneration_moves_down(self):
         # zeroing a free entry lands in a cell with entrywise smaller position

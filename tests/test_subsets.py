@@ -270,6 +270,30 @@ class TestShuffle:
         assert cs(4, 2, 4).shuffle_permutation() == (2, 4, 1, 3)
 
 
+class TestCellSlots:
+    def test_worked_example(self):
+        assert cs(4, 1, 3, 4).cell_slots() == [(2, 1), (3, 1)]
+        assert cs(5, 2, 5).cell_slots() == [(1, 1), (2, 1), (2, 2), (2, 3)]
+
+    def test_point_and_top_cells(self):
+        assert cs(5, 1, 2, 3).cell_slots() == []
+        assert CardSubset(3, ()).cell_slots() == []
+        # the top cell's chart is all of Hom, r x (n - r) slots
+        assert cs(5, 4, 5).cell_slots() == [(a, b) for a in (1, 2) for b in (1, 2, 3)]
+
+    def test_one_slot_per_free_coordinate(self):
+        for n in range(7):
+            for r in range(n + 1):
+                for subset in enumerate_subsets(r, n):
+                    slots = subset.cell_slots()
+                    assert len(slots) == subset.dim()
+                    assert slots == sorted(set(slots))
+                    # slot (a, b) is the complement row Ic(b) above the pivot row I(a)
+                    comp = subset.complement().elements
+                    assert all(comp[b - 1] < subset.elements[a - 1] for a, b in slots)
+                    assert sum(comp[b - 1] < subset.elements[a - 1] for a in range(1, r + 1) for b in range(1, n - r + 1)) == len(slots)
+
+
 class TestEnumerate:
     def test_count_and_order(self):
         subs = enumerate_subsets(2, 4)

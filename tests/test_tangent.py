@@ -16,6 +16,7 @@ from horncalc.matrices import (
     inverse,
     kernel_basis,
     random_invertible,
+    random_matrix,
     random_upper_triangular,
     rank,
 )
@@ -35,6 +36,7 @@ from horncalc.tangent import (
 )
 
 GFP = PrimeField(DEFAULT_PRIME)
+FIELDS = [PrimeField(2), PrimeField(7), GFP, QQ, SQRT5]
 
 
 def pt(n, *parts):
@@ -75,6 +77,55 @@ class TestHSpaceBasis:
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             h_space_basis(CardSubset(5, (1, 2)), Flag.standard(QQ, 3), Flag.standard(QQ, 3))
+        # phi must be a (n-r) x r map over the flags' field
+        subset, f, g = CardSubset(4, (1, 2)), Flag.standard(QQ, 2), Flag.standard(QQ, 2)
+        for phi in (Mat.from_ints(QQ, [[0]]), Mat.zeros(QQ, 2, 3), Mat.zeros(QQ, 3, 2), Mat.zeros(GFP, 2, 2)):
+            with pytest.raises(ShapeError):
+                phi_in_h_space(subset, f, g, phi)
+
+
+class TestChartAgainstConstraintRows:
+    # h_space_basis and phi_in_h_space read the chart of cell_slots; the
+    # stacked equations of h_constraint_rows are the reference
+    @staticmethod
+    def cases(field, seed):
+        rng = rngmod.spawn(seed, 0)
+        pyrng = random.Random(seed)
+        for _ in range(12):
+            n = pyrng.randrange(2, 7)
+            r = pyrng.randrange(1, n)
+            subset = CardSubset(n, tuple(sorted(pyrng.sample(range(1, n + 1), r))))
+            yield subset, Flag.standard(field, r), Flag.standard(field, n - r), rng
+            yield subset, Flag.random(field, r, rng), Flag.random(field, n - r, rng), rng
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_basis_spans_the_constraint_kernel(self, field):
+        for subset, f, g, _ in self.cases(field, 40):
+            r, q = subset.cardinality, subset.ground - subset.cardinality
+            rows = Mat(field, h_constraint_rows(subset, f, g), r * q)
+            basis = h_space_basis(subset, f, g).basis
+            assert len(basis) == subset.dim()
+            vecs = [mat_to_vec(phi) for phi in basis]
+            assert all(field.is_zero(x) for v in vecs for x in rows.mul_vec(v))
+            assert rank(Mat(field, vecs, r * q)) == subset.dim()
+            assert rank(rows) == r * q - subset.dim()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_membership_matches_constraint_rows(self, field):
+        outside = 0
+        for subset, f, g, rng in self.cases(field, 41):
+            r, q = subset.cardinality, subset.ground - subset.cardinality
+            rows = h_constraint_rows(subset, f, g)
+            inside = Mat.zeros(field, q, r)
+            for phi in h_space_basis(subset, f, g).basis:
+                inside = inside.add(phi.scale(field.random(rng)))
+            for phi in (inside, random_matrix(field, q, r, rng)):
+                vec = mat_to_vec(phi)
+                by_rows = all(field.is_zero(field.dot(row, vec)) for row in rows)
+                assert phi_in_h_space(subset, f, g, phi) == by_rows
+                outside += not by_rows
+            assert phi_in_h_space(subset, f, g, inside)
+        assert outside
 
 
 class TestIntersectionDim:
@@ -132,7 +183,7 @@ class TestIntersectionDim:
             assert h_intersection_dim(t, fs, gs) >= t.edim()
 
 
-    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), GFP, QQ, SQRT5], ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_dimension_matches_kernel_basis(self, field):
         # h_intersection_dim is ncols - rank from the forward pass alone; the
         # kernel basis needs the back pass.  Standard first flags leave
@@ -152,7 +203,7 @@ class TestIntersectionDim:
             assert h_intersection_dim(t, fs, gs) == len(basis)
             assert all(field.is_zero(x) for vec in basis for x in joint.mul_vec(vec))
 
-    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(7), GFP, QQ, SQRT5], ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_reduced_space_matches_stacked_rank(self, field):
         # h_intersection_dim eliminates only the other parts' constraints on
         # the free slots of one part; it must equal ncols - rank of every
@@ -351,6 +402,8 @@ class TestDelta:
         singular = Mat.from_ints(QQ, [[1, 2], [2, 4]])
         with pytest.raises(DomainError):
             delta_determinant(t0, [singular, gs[1]], hs)
+        with pytest.raises(ShapeError):
+            delta_determinant(t0, gs, [Mat.identity(PrimeField(7), 2), hs[1]])
 
     def test_zero_for_non_intersecting(self):
         rng = rngmod.spawn(37, 1)
@@ -399,6 +452,14 @@ class TestEquivariance:
             h = random_invertible(QQ, q, rng)
             m = hom_conjugation_matrix(g, h)
             assert det(m) == det(g) ** (-q) * det(h) ** r
+
+    def test_hom_base_change_shape_errors(self):
+        g = Mat.identity(QQ, 2)
+        for h in (Mat.from_ints(QQ, [[1, 0], [0, 1], [1, 1]]), Mat.zeros(QQ, 2, 3), Mat.identity(GFP, 2)):
+            with pytest.raises(ShapeError):
+                hom_conjugation_matrix(g, h)
+        with pytest.raises(ShapeError):
+            hom_conjugation_matrix(Mat.zeros(QQ, 2, 3), Mat.identity(QQ, 2))
 
     @pytest.mark.parametrize(
         "tuple_lists,n",
