@@ -5,6 +5,13 @@ Exit codes: 0 success (and mathematically "true" verdicts), 1 mathematical
 errors including malformed JSON payloads and arguments that violate a
 precondition or a budget, 3 any other (internal) failure.
 
+Handlers: each ``_cmd_*`` handler takes the parsed arguments and returns
+``(output, verdict)``, where ``output`` is a JSON object or rendered text
+and ``verdict`` says whether the answer is true.  Handlers write nothing;
+``main`` alone writes ``output`` to stdout and turns the verdict into exit
+0 or 1, inside the same ``try`` as the handler, so an output that JSON
+cannot encode is an internal failure like any other.
+
 All output is deterministic for a fixed argv and --seed: JSON objects are
 emitted with sorted keys and every randomized routine derives its streams
 from the master seed.
@@ -30,10 +37,6 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _parse_json(text: str, what: str):
@@ -72,16 +75,10 @@ def _tuple_from_args(args):
 
 
 def _field_from_args(args, default):
-    from .fields import DEFAULT_PRIME, QQ, SQRT5, PrimeField
+    from .fields import DEFAULT_PRIME, field_from_tag
 
-    if args.prime is not None:
-        return PrimeField(args.prime)
-    name = args.field or default
-    if name == "rational":
-        return QQ
-    if name == "sqrt5":
-        return SQRT5
-    return PrimeField(DEFAULT_PRIME)
+    tag = {"prime": args.prime} if args.prime is not None else args.field or default
+    return field_from_tag({"prime": DEFAULT_PRIME} if tag == "prime" else tag)
 
 
 def _load_matrix_file(path: str):
@@ -90,11 +87,10 @@ def _load_matrix_file(path: str):
 
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed JSON in {path} at position {exc.pos}: {exc.msg}") from exc
+    obj = _parse_json(text, path)
     if not (isinstance(obj, dict) and {"field", "entries"} <= obj.keys()):
         raise ShapeError(f"bad matrix file {path}: expected an object with \"field\" and \"entries\"")
     field = field_from_tag(obj["field"])
@@ -102,128 +98,104 @@ def _load_matrix_file(path: str):
     return field, Mat(field, entries, len(entries[0]) if entries else 0)
 
 
+def _parts(tup) -> list[list[int]]:
+    return [list(p.elements) for p in tup.parts]
+
+
 def _format_subset(elems) -> str:
     return "{" + ",".join(str(x) for x in elems) + "}"
+
+
+def _class_table(r: int, n: int, s: int, classes, fmt: str):
+    """Horn(r, n, s) classes as JSON rows, or rendered as csv, tex or text."""
+    rows = [(_parts(tup), e) for tup, e in classes]
+    if fmt == "json":
+        return [{"tuple": parts, "edim": e} for parts, e in rows]
+    if fmt == "csv":
+        lines = ["r,n," + ",".join(f"J{k + 1}" for k in range(s)) + ",edim"]
+        for parts, e in rows:
+            lines.append(",".join([str(r), str(n)] + [_format_subset(p) for p in parts] + [str(e)]))
+    elif fmt == "tex":
+        lines = [f"% Horn({r},{n},{s})", "\\begin{tabular}{" + "c" * (s + 1) + "}"]
+        lines.append(" & ".join(f"$J_{k + 1}$" for k in range(s)) + " & edim \\\\")
+        for parts, e in rows:
+            cells = ["\\{" + ",".join(map(str, p)) + "\\}" for p in parts]
+            lines.append(" & ".join(cells + [str(e)]) + " \\\\")
+        lines.append("\\end{tabular}")
+    else:
+        lines = [f"Horn({r},{n},{s}) classes up to permutation"]
+        for parts, e in rows:
+            cells = "  ".join(f"{_format_subset(p):<12}" for p in parts)
+            lines.append(f"  {cells}edim {e}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------- horn
 
 
-def _cmd_horn_enumerate(args) -> int:
+def _cmd_horn_enumerate(args):
     from .horn import HornTable, horn_classes
 
-    classes = horn_classes(args.r, args.n, args.s, HornTable())
-    rows = [
-        {"tuple": [list(p.elements) for p in tup.parts], "edim": e}
-        for tup, e in classes
-    ]
+    table = _class_table(args.r, args.n, args.s, horn_classes(args.r, args.n, args.s, HornTable()), args.format)
     if args.format == "json":
-        _emit({"r": args.r, "n": args.n, "s": args.s, "classes": rows})
-    elif args.format == "csv":
-        lines = ["r,n," + ",".join(f"J{k + 1}" for k in range(args.s)) + ",edim"]
-        for row in rows:
-            cells = [str(args.r), str(args.n)]
-            cells += [_format_subset(p) for p in row["tuple"]]
-            cells.append(str(row["edim"]))
-            lines.append(",".join(cells))
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        sys.stdout.write(_render_table(args.r, args.n, args.s, rows, args.format) + "\n")
-    return EXIT_OK
+        return {"r": args.r, "n": args.n, "s": args.s, "classes": table}, True
+    return table, True
 
 
-def _render_table(r: int, n: int, s: int, rows: list[dict], fmt: str) -> str:
-    if fmt == "tex":
-        lines = [f"% Horn({r},{n},{s})", "\\begin{tabular}{" + "c" * (s + 1) + "}"]
-        lines.append(" & ".join(f"$J_{k + 1}$" for k in range(s)) + " & edim \\\\")
-        for row in rows:
-            cells = ["\\{" + ",".join(map(str, p)) + "\\}" for p in row["tuple"]]
-            lines.append(" & ".join(cells + [str(row["edim"])]) + " \\\\")
-        lines.append("\\end{tabular}")
-        return "\n".join(lines)
-    lines = [f"Horn({r},{n},{s}) classes up to permutation"]
-    for row in rows:
-        cells = "  ".join(f"{_format_subset(p):<12}" for p in row["tuple"])
-        lines.append(f"  {cells}edim {row['edim']}")
-    return "\n".join(lines)
-
-
-def _cmd_horn_check(args) -> int:
+def _cmd_horn_check(args):
     from .horn import HornTable, horn_member
 
     tup = _tuple_from_args(args)
     verdict = horn_member(tup, HornTable())
-    _emit({"tuple": tup.to_json(), **verdict.to_json()})
-    return EXIT_OK if verdict.member else EXIT_FALSE
+    return {"tuple": tup.to_json(), **verdict.to_json()}, verdict.member
 
 
-def _cmd_horn0(args) -> int:
+def _cmd_horn0(args):
     from .horn import HornTable, horn0
 
-    cache = HornTable()
-    tuples = horn0(args.d, args.r, args.s, cache)
-    _emit(
-        {
-            "d": args.d,
-            "r": args.r,
-            "s": args.s,
-            "tuples": [[list(p.elements) for p in t.parts] for t in tuples],
-        }
-    )
-    return EXIT_OK
+    tuples = horn0(args.d, args.r, args.s, HornTable())
+    return {"d": args.d, "r": args.r, "s": args.s, "tuples": [_parts(t) for t in tuples]}, True
 
 
 # ---------------------------------------------------------------- intersect
 
 
-def _cmd_intersect_certify(args) -> int:
+def _cmd_intersect_certify(args):
     from . import rng as rngmod
     from .tangent import certify_intersecting
 
     tup = _tuple_from_args(args)
     field = _field_from_args(args, default="prime")
     verdict = certify_intersecting(tup, field, args.samples, rngmod.spawn(args.seed, 0))
-    _emit({"tuple": tup.to_json(), "seed": args.seed, **verdict.to_json()})
-    return EXIT_OK if verdict.intersecting else EXIT_FALSE
+    return {"tuple": tup.to_json(), "seed": args.seed, **verdict.to_json()}, verdict.intersecting
 
 
 # ---------------------------------------------------------------- kirwan / lr
 
 
-def _cmd_kirwan_ineqs(args) -> int:
+def _cmd_kirwan_ineqs(args):
     from .horn import HornTable
     from .kirwan import kirwan_inequality_set
 
-    cache = HornTable()
-    ineqs = kirwan_inequality_set(args.r, args.s, cache)
-    rows = [{"d": d, "parts": [list(p.elements) for p in j.parts]} for d, j in ineqs]
+    rows = [(d, _parts(j)) for d, j in kirwan_inequality_set(args.r, args.s, HornTable())]
     if args.format == "json":
-        _emit({"r": args.r, "s": args.s, "count": len(rows), "inequalities": rows})
-    elif args.format == "csv":
+        inequalities = [{"d": d, "parts": parts} for d, parts in rows]
+        return {"r": args.r, "s": args.s, "count": len(rows), "inequalities": inequalities}, True
+    if args.format == "csv":
         lines = ["d," + ",".join(f"J{k + 1}" for k in range(args.s))]
-        for row in rows:
-            lines.append(",".join([str(row["d"])] + [_format_subset(p) for p in row["parts"]]))
-        sys.stdout.write("\n".join(lines) + "\n")
-    elif args.format == "tex":
-        lines = []
-        for row in rows:
-            terms = []
-            for k, part in enumerate(row["parts"], start=1):
-                terms.extend(f"\\xi_{{{k}}}({j})" for j in part)
-            lines.append(" + ".join(terms) + " \\leq 0 \\\\")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        lines = [f"inequalities of the Kirwan cone for r={args.r}, s={args.s} (plus the trace equality)"]
-        for row in rows:
-            terms = []
-            for k, part in enumerate(row["parts"], start=1):
-                terms.extend(f"xi{k}({j})" for j in part)
-            lines.append("  " + " + ".join(terms) + " <= 0")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+        lines += [",".join([str(d)] + [_format_subset(p) for p in parts]) for d, parts in rows]
+        return "\n".join(lines), True
+    # term and line templates of one inequality sum_k sum_{j in J_k} xi_k(j) <= 0
+    term, line = ("\\xi_{{{}}}({})", "{} \\leq 0 \\\\") if args.format == "tex" else ("xi{}({})", "  {} <= 0")
+    header = f"inequalities of the Kirwan cone for r={args.r}, s={args.s} (plus the trace equality)"
+    lines = [header] if args.format == "text" else []
+    for _, parts in rows:
+        terms = [term.format(k, j) for k, part in enumerate(parts, start=1) for j in part]
+        lines.append(line.format(" + ".join(terms)))
+    return "\n".join(lines), True
 
 
-def _cmd_kirwan_check(args) -> int:
+def _cmd_kirwan_check(args):
     from fractions import Fraction
 
     from .horn import HornTable
@@ -231,16 +203,10 @@ def _cmd_kirwan_check(args) -> int:
 
     parts = _json_arg(args.xi, "--xi", 2, lambda x: Fraction(str(x)))
     ok, violated = kirwan_check(parts, HornTable())
-    _emit(
-        {
-            "member": ok,
-            "violations": [c.to_json() for c in violated],
-        }
-    )
-    return EXIT_OK if ok else EXIT_FALSE
+    return {"member": ok, "violations": [c.to_json() for c in violated]}, ok
 
 
-def _cmd_lr_nonzero(args) -> int:
+def _cmd_lr_nonzero(args):
     from .horn import HornTable
     from .kirwan import kirwan_check, lr_nonvanishing, tuple_from_weights
     from .subsets import Weight
@@ -255,14 +221,13 @@ def _cmd_lr_nonzero(args) -> int:
     else:
         _, violated = kirwan_check([w.entries for w in weights], cache)
         out["violations"] = [c.to_json() for c in violated]
-    _emit(out)
-    return EXIT_OK if ok else EXIT_FALSE
+    return out, ok
 
 
 # ---------------------------------------------------------------- geometry
 
 
-def _cmd_pos_compute(args) -> int:
+def _cmd_pos_compute(args):
     from .flags import Flag, SubspaceBasis, check_flag_budget, position
 
     field_f, flag_mat = _load_matrix_file(args.flag)
@@ -272,11 +237,10 @@ def _cmd_pos_compute(args) -> int:
     check_flag_budget(flag_mat.nrows, field_f)
     flag = Flag(field_f, flag_mat)
     pos = position(SubspaceBasis(field_s, sub_mat), flag)
-    _emit({"position": list(pos.elements), "ground": pos.ground})
-    return EXIT_OK
+    return {"position": list(pos.elements), "ground": pos.ground}, True
 
 
-def _cmd_cell_sample(args) -> int:
+def _cmd_cell_sample(args):
     from . import rng as rngmod
     from .flags import Flag, check_flag_budget, position, sample_cell_point
     from .subsets import CardSubset
@@ -295,19 +259,16 @@ def _cmd_cell_sample(args) -> int:
         check_flag_budget(args.n, field)
         flag = Flag.standard(field, args.n)
     sample = sample_cell_point(subset, flag, rng)
-    _emit(
-        {
-            "subset": subset.to_json(),
-            "seed": args.seed,
-            "field": field.to_json_tag(),
-            "basis": sample.mat.format_entries(),
-            "verified_position": list(position(sample, flag).elements),
-        }
-    )
-    return EXIT_OK
+    return {
+        "subset": subset.to_json(),
+        "seed": args.seed,
+        "field": field.to_json_tag(),
+        "basis": sample.mat.format_entries(),
+        "verified_position": list(position(sample, flag).elements),
+    }, True
 
 
-def _cmd_hn_search(args) -> int:
+def _cmd_hn_search(args):
     from . import rng as rngmod
     from .fields import PrimeField
     from .flags import Flag
@@ -320,30 +281,25 @@ def _cmd_hn_search(args) -> int:
     rng = rngmod.spawn(args.seed, 0)
     flags = [Flag.random(field, args.r, rng) for _ in range(args.s)]
     if args.theta:
-        thetas = [Weight(tuple(part)) for part in _json_arg(args.theta, "--theta", 2)]
+        rows = _json_arg(args.theta, "--theta", 2)
     else:
-        thetas = []
-        for _ in range(args.s):
-            entries = sorted(rng.randrange(-4, 5) for _ in range(args.r))
-            thetas.append(Weight(tuple(entries)))
+        rows = [sorted(rng.randrange(-4, 5) for _ in range(args.r)) for _ in range(args.s)]
+    thetas = [Weight(tuple(row)) for row in rows]
     result = hn_minimizer_exhaustive(flags, thetas, budget=budget)
-    _emit(
-        {
-            "r": args.r,
-            "q": args.q,
-            "seed": args.seed,
-            "thetas": [w.to_json() for w in thetas],
-            "minimizer": result.minimizer.mat.format_entries(),
-            "dim": result.minimizer.dim,
-            "slope": [result.slope.numerator, result.slope.denominator],
-            "multiplicity": result.multiplicity,
-            "subspaces_scanned": result.scanned,
-        }
-    )
-    return EXIT_OK if result.multiplicity == 1 else EXIT_FALSE
+    return {
+        "r": args.r,
+        "q": args.q,
+        "seed": args.seed,
+        "thetas": [w.to_json() for w in thetas],
+        "minimizer": result.minimizer.mat.format_entries(),
+        "dim": result.minimizer.dim,
+        "slope": [result.slope.numerator, result.slope.denominator],
+        "multiplicity": result.multiplicity,
+        "subspaces_scanned": result.scanned,
+    }, result.multiplicity == 1
 
 
-def _cmd_delta_eval(args) -> int:
+def _cmd_delta_eval(args):
     from . import rng as rngmod
     from .fields import QQ
     from .matrices import random_invertible
@@ -356,19 +312,16 @@ def _cmd_delta_eval(args) -> int:
     gs = [random_invertible(QQ, r, rng) for _ in range(tup.s)]
     hs = [random_invertible(QQ, q, rng) for _ in range(tup.s)]
     value = delta_determinant(tup, gs, hs)
-    _emit(
-        {
-            "tuple": tup.to_json(),
-            "seed": args.seed,
-            "delta": str(value),
-            "g": [g.format_entries() for g in gs],
-            "h": [h.format_entries() for h in hs],
-        }
-    )
-    return EXIT_OK if value != 0 else EXIT_FALSE
+    return {
+        "tuple": tup.to_json(),
+        "seed": args.seed,
+        "delta": str(value),
+        "g": [g.format_entries() for g in gs],
+        "h": [h.format_entries() for h in hs],
+    }, value != 0
 
 
-def _cmd_variational_demo(args) -> int:
+def _cmd_variational_demo(args):
     from . import rng as rngmod
     from .subsets import CardSubset
     from .variational import DEFAULT_TOLERANCE, check_trial_budget, variational_check
@@ -383,84 +336,54 @@ def _cmd_variational_demo(args) -> int:
     subset = CardSubset(args.r, tuple(elems))
     tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
     report = variational_check(xi, subset, args.trials, tolerance, rngmod.derive_seed(args.seed, 1))
-    _emit({"xi": xi, "j": list(subset.elements), **report.to_json()})
-    return EXIT_OK if report.ok else EXIT_FALSE
+    return {"xi": xi, "j": list(subset.elements), **report.to_json()}, report.ok
 
 
 # ---------------------------------------------------------------- tables & fixtures
 
 
-def _cmd_tables_a(args) -> int:
+def _cmd_tables_a(args):
     from .horn import HornTable, horn_classes
     from .tables import APPENDIX_A_KEYS, appendix_a_tuple
 
     cache = HornTable()
-    out = []
+    blocks = []
     for d, r in APPENDIX_A_KEYS:
         computed = horn_classes(d, r, 3, cache)
-        expected = appendix_a_tuple(d, r)
-        match = [(t.canonical(), e) for t, e in expected] == computed
-        if not match:
+        if [(t.canonical(), e) for t, e in appendix_a_tuple(d, r)] != computed:
             raise AssertionError(f"computed Horn({d},{r},3) deviates from the embedded table")
-        out.append(
-            {
-                "d": d,
-                "r": r,
-                "classes": [
-                    {"tuple": [list(p.elements) for p in t.parts], "edim": e}
-                    for t, e in computed
-                ],
-            }
-        )
+        blocks.append(_class_table(d, r, 3, computed, args.format))
     if args.format == "json":
-        _emit({"tables": out, "verified": True})
-    else:
-        blocks = []
-        for block in out:
-            rows = block["classes"]
-            blocks.append(_render_table(block["d"], block["r"], 3, rows, args.format))
-        sys.stdout.write("\n\n".join(blocks) + "\n")
-    return EXIT_OK
+        tables = [{"d": d, "r": r, "classes": rows} for (d, r), rows in zip(APPENDIX_A_KEYS, blocks)]
+        return {"tables": tables, "verified": True}, True
+    return "\n\n".join(blocks), True
 
 
-def _cmd_tables_b(args) -> int:
+def _cmd_tables_b(args):
     from .horn import HornTable
     from .kirwan import kirwan_inequality_set
     from .subsets import PositionTuple
     from .tables import APPENDIX_B, appendix_b_closure
 
     cache = HornTable()
-    out = []
+    tables, lines = [], []
     for r in sorted(APPENDIX_B):
-        closure = appendix_b_closure(r)
         computed = set(kirwan_inequality_set(r, 3, cache))
-        if closure != computed:
+        if appendix_b_closure(r) != computed:
             raise AssertionError(f"computed cone system for r={r} deviates from the embedded table")
-        reps = [
-            {
-                "d": d,
-                "representative": [list(p) for p in rep],
-                "closure_size": len(PositionTuple.from_lists(r, rep).permutations()),
-            }
-            for d, rep in APPENDIX_B[r]
-        ]
-        out.append({"r": r, "count": len(computed), "representatives": reps})
+        lines.append(f"r = {r}: trace equality plus {len(computed)} inequalities")
+        reps = []
+        for d, rep in APPENDIX_B[r]:
+            size = len(PositionTuple.from_lists(r, rep).permutations())
+            reps.append({"d": d, "representative": [list(p) for p in rep], "closure_size": size})
+            lines.append(f"  d={d}  {' '.join(_format_subset(p) for p in rep)}  (x{size} permutations)")
+        tables.append({"r": r, "count": len(computed), "representatives": reps})
     if args.format == "json":
-        _emit({"tables": out, "verified": True})
-    else:
-        lines = []
-        for block in out:
-            lines.append(f"r = {block['r']}: trace equality plus {block['count']} inequalities")
-            for rep in block["representatives"]:
-                subs = " ".join(_format_subset(p) for p in rep["representative"])
-                lines.append(
-                    f"  d={rep['d']}  {subs}  (x{rep['closure_size']} permutations)"
-                )
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+        return {"tables": tables, "verified": True}, True
+    return "\n".join(lines), True
 
 
-def _cmd_fixtures_two_point(args) -> int:
+def _cmd_fixtures_two_point(args):
     from .flags import position
     from .tables import two_point_flags, two_point_subspaces, two_point_tuple
 
@@ -472,24 +395,23 @@ def _cmd_fixtures_two_point(args) -> int:
     for name, sub in (("V1", v1), ("V2", v2)):
         for t, flag in zip((0, 1, -1), flags):
             pos = position(sub, flag)
-            good = pos == target
-            ok = ok and good
+            ok = ok and pos == target
             results.append(
                 {"subspace": name, "t": t, "position": list(pos.elements), "expected": list(target.elements)}
             )
-    _emit({"field": "sqrt5", "ok": ok, "checks": results})
-    return EXIT_OK if ok else EXIT_FALSE
+    return {"field": "sqrt5", "ok": ok, "checks": results}, ok
 
 
 # ---------------------------------------------------------------- wiring
 
 
-def _add_seed(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+def _opt(*flags, **settings):
+    """One option's declaration, as a function that adds it to a parser."""
+    return lambda parser: parser.add_argument(*flags, **settings)
 
 
-def _add_format(parser, *formats) -> None:
-    parser.add_argument("--format", choices=formats, default="json")
+def _formats(*choices):
+    return _opt("--format", choices=choices, default="json")
 
 
 def _add_field(parser) -> None:
@@ -503,109 +425,82 @@ def _add_field(parser) -> None:
     )
 
 
+# options that several commands take, each declared once
+_N = _opt("--n", type=int, required=True)
+_R = _opt("--r", type=int, required=True)
+_S = _opt("--s", type=int, default=3)
+_TUPLE = _opt("--tuple", required=True)
+_SEED = _opt("--seed", type=int, default=0, help="master seed for all randomness")
+_ALL_FORMATS = _formats("json", "csv", "tex", "text")
+
+_GROUP_SETTINGS = {"horn": {"help": "Horn recursion"}, "horn0": {"help": "edim-0 slice of a Horn set"}}
+
+# every command in --help order: "group action" (or a lone group), handler, option adders
+_COMMANDS = (
+    ("horn enumerate", _cmd_horn_enumerate, [_R, _N, _S, _ALL_FORMATS]),
+    ("horn check", _cmd_horn_check, [_N, _TUPLE]),
+    ("horn0", _cmd_horn0, [_opt("--d", type=int, required=True), _R, _S]),
+    ("intersect certify", _cmd_intersect_certify, [_N, _TUPLE, _SEED, _opt("--samples", type=int, default=3), _add_field]),
+    ("kirwan ineqs", _cmd_kirwan_ineqs, [_R, _S, _ALL_FORMATS]),
+    ("kirwan check", _cmd_kirwan_check, [_opt("--xi", required=True)]),
+    ("lr nonzero", _cmd_lr_nonzero, [_opt("--lambda", dest="lam", required=True)]),
+    (
+        "pos compute",
+        _cmd_pos_compute,
+        [
+            _opt("--flag", required=True, help="JSON matrix file; columns are the adapted basis"),
+            _opt("--subspace", required=True, help="JSON matrix file; columns span the subspace"),
+        ],
+    ),
+    ("cell sample", _cmd_cell_sample, [_N, _opt("--subset", required=True), _opt("--flag", default=None), _SEED, _add_field]),
+    (
+        "hn search",
+        _cmd_hn_search,
+        [
+            _R,
+            _opt("--q", type=int, default=2, help="small prime field order"),
+            _S,
+            _opt("--theta", default=None),
+            _SEED,
+            _opt("--budget", type=int, default=None),
+        ],
+    ),
+    ("delta eval", _cmd_delta_eval, [_N, _TUPLE, _SEED]),
+    (
+        "variational demo",
+        _cmd_variational_demo,
+        [
+            _opt("--r", type=int, default=6),
+            _opt("--j", required=True),
+            _opt("--xi", default=None),
+            _opt("--trials", type=int, default=50),
+            _opt("--tolerance", type=float, default=None),
+            _SEED,
+        ],
+    ),
+    ("tables appendix-a", _cmd_tables_a, [_formats("json", "tex", "text")]),
+    ("tables appendix-b", _cmd_tables_b, [_formats("json", "text")]),
+    ("fixtures two-point", _cmd_fixtures_two_point, []),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horncalc",
         description="Horn inequalities, Schubert intersection certificates, and Kirwan cone membership",
     )
     sub = parser.add_subparsers(dest="group", required=True)
-
-    horn = sub.add_parser("horn", help="Horn recursion").add_subparsers(dest="action", required=True)
-    p = horn.add_parser("enumerate")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=3)
-    _add_format(p, "json", "csv", "tex", "text")
-    p.set_defaults(func=_cmd_horn_enumerate)
-    p = horn.add_parser("check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tuple", required=True)
-    p.set_defaults(func=_cmd_horn_check)
-
-    p = sub.add_parser("horn0", help="edim-0 slice of a Horn set")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, default=3)
-    p.set_defaults(func=_cmd_horn0)
-
-    inter = sub.add_parser("intersect").add_subparsers(dest="action", required=True)
-    p = inter.add_parser("certify")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tuple", required=True)
-    _add_seed(p)
-    p.add_argument("--samples", type=int, default=3)
-    _add_field(p)
-    p.set_defaults(func=_cmd_intersect_certify)
-
-    kirwan = sub.add_parser("kirwan").add_subparsers(dest="action", required=True)
-    p = kirwan.add_parser("ineqs")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, default=3)
-    _add_format(p, "json", "csv", "tex", "text")
-    p.set_defaults(func=_cmd_kirwan_ineqs)
-    p = kirwan.add_parser("check")
-    p.add_argument("--xi", required=True)
-    p.set_defaults(func=_cmd_kirwan_check)
-
-    lr = sub.add_parser("lr").add_subparsers(dest="action", required=True)
-    p = lr.add_parser("nonzero")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.set_defaults(func=_cmd_lr_nonzero)
-
-    pos = sub.add_parser("pos").add_subparsers(dest="action", required=True)
-    p = pos.add_parser("compute")
-    p.add_argument("--flag", required=True, help="JSON matrix file; columns are the adapted basis")
-    p.add_argument("--subspace", required=True, help="JSON matrix file; columns span the subspace")
-    p.set_defaults(func=_cmd_pos_compute)
-
-    cell = sub.add_parser("cell").add_subparsers(dest="action", required=True)
-    p = cell.add_parser("sample")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--subset", required=True)
-    p.add_argument("--flag", default=None)
-    _add_seed(p)
-    _add_field(p)
-    p.set_defaults(func=_cmd_cell_sample)
-
-    hn = sub.add_parser("hn").add_subparsers(dest="action", required=True)
-    p = hn.add_parser("search")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, default=2, help="small prime field order")
-    p.add_argument("--s", type=int, default=3)
-    p.add_argument("--theta", default=None)
-    _add_seed(p)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(func=_cmd_hn_search)
-
-    delta = sub.add_parser("delta").add_subparsers(dest="action", required=True)
-    p = delta.add_parser("eval")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tuple", required=True)
-    _add_seed(p)
-    p.set_defaults(func=_cmd_delta_eval)
-
-    var = sub.add_parser("variational").add_subparsers(dest="action", required=True)
-    p = var.add_parser("demo")
-    p.add_argument("--r", type=int, default=6)
-    p.add_argument("--j", required=True)
-    p.add_argument("--xi", default=None)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--tolerance", type=float, default=None)
-    _add_seed(p)
-    p.set_defaults(func=_cmd_variational_demo)
-
-    tables = sub.add_parser("tables").add_subparsers(dest="action", required=True)
-    p = tables.add_parser("appendix-a")
-    _add_format(p, "json", "tex", "text")
-    p.set_defaults(func=_cmd_tables_a)
-    p = tables.add_parser("appendix-b")
-    _add_format(p, "json", "text")
-    p.set_defaults(func=_cmd_tables_b)
-
-    fixtures = sub.add_parser("fixtures").add_subparsers(dest="action", required=True)
-    p = fixtures.add_parser("two-point")
-    p.set_defaults(func=_cmd_fixtures_two_point)
-
+    groups = {}
+    for path, func, options in _COMMANDS:
+        group, _, action = path.partition(" ")
+        if group not in groups:
+            groups[group] = sub.add_parser(group, **_GROUP_SETTINGS.get(group, {}))
+            if action:
+                groups[group] = groups[group].add_subparsers(dest="action", required=True)
+        p = groups[group].add_parser(action) if action else groups[group]
+        for add in options:
+            add(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -617,7 +512,11 @@ def main(argv=None) -> int:
         # argparse already printed a message; normalize the code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        output, verdict = args.func(args)
+        if not isinstance(output, str):
+            output = json.dumps(output, sort_keys=True, allow_nan=False)
+        sys.stdout.write(output + "\n")
+        return EXIT_OK if verdict else EXIT_FALSE
     except (DomainError, ShapeError, BudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -32,7 +32,7 @@ def check_elim_cells(field, cells: int, what: str) -> None:
     """
     cost = field.cell_cost
     if cells * cost > MAX_ELIM_CELLS:
-        each = "" if cost == 1 else f" at {cost} GF(p) cells each over {field.name}"
+        each = "" if cost == 1 else f" at {cost} GF(p) cells each over {field.name}, {cells * cost} GF(p) cells in all"
         raise BudgetError(f"{what} would take {cells} elimination cells{each}, over {MAX_ELIM_CELLS}")
 
 

@@ -25,7 +25,6 @@ E_{b,a} at the same slots span the tangent space H_I at standard flags.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ShapeError
@@ -313,6 +312,8 @@ def weights_of_tuple(tup: PositionTuple) -> list[Weight]:
 
 def slope(j_tuple: PositionTuple, thetas: Sequence[Weight]) -> Fraction:
     """Average of the theta entries picked out by the parts of ``j_tuple``."""
+    from fractions import Fraction  # here, so the Horn commands never load it
+
     d = j_tuple.cardinality
     if d == 0:
         raise DomainError("slope is undefined for empty subsets")

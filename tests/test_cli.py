@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -176,6 +177,38 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("horncalc.horn.horn_member", broken)
     assert main(["horn", "check", "--n", "4", "--tuple", "[[1,4],[2,4]]"]) == 3
     assert "KeyError" in capsys.readouterr().err
+
+
+def test_unencodable_output_exits_3(capsys, monkeypatch):
+    # main encodes the handler's answer inside its try: a NaN is an internal failure, not a verdict
+    class NotFinite:
+        def to_json(self):
+            return {"lhs": float("nan")}
+
+    monkeypatch.setattr("horncalc.kirwan.kirwan_check", lambda *_args: (True, [NotFinite()]))
+    assert main(["kirwan", "check", "--xi", "[[1,0],[0,-1],[0,0]]"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ValueError" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["horn", "enumerate", "--r", "0", "--n", "3"], 2),
+        (["kirwan", "ineqs", "--r", "2", "--s", "1"], 2),
+        (["hn", "search", "--r", "2", "--budget", "0"], 2),
+        # a --prime tested for truth instead of against None would certify over the default prime
+        (["intersect", "certify", "--n", "2", "--tuple", "[[1],[2]]", "--prime", "0"], 2),
+        (["horn0", "--d", "1", "--r", "2", "--s", "1"], 0),
+        (["kirwan", "ineqs", "--r", "1"], 0),
+        (["delta", "eval", "--n", "0", "--tuple", "[[],[],[]]"], 0),
+    ],
+)
+def test_integer_flag_edges_exit_code(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert (captured.out == "") == (code == 2)
 
 
 class TestCertifyCommand:
@@ -381,6 +414,11 @@ class TestGeometryCommands:
             assert main(argv) == 2
             assert time.perf_counter() - start < 1
             assert "at 64 GF(p) cells each over rational" in capsys.readouterr().err
+        # the message states the weighted total it compares with the budget
+        certify = ["intersect", "certify", "--n", "16", "--tuple", json.dumps([[5, 6, 7, 8, 13, 14, 15, 16]] * 3)]
+        assert main(certify + ["--field", "rational"]) == 2
+        err = capsys.readouterr().err
+        assert "156672 elimination cells at 64 GF(p) cells each over rational, 10027008 GF(p) cells in all" in err
         assert main(["cell", "sample", "--n", "120", "--subset", "[1,3]", "--prime", "7"]) == 0
 
     def test_delta_eval(self, capsys):
@@ -439,6 +477,20 @@ def test_determinism_across_commands(capsys):
         assert first == second
 
 
+def test_recorded_argvs_replay(capsys, tmp_path, monkeypatch):
+    # the exit code and stdout digest of every argv the benchmark's cli workload runs
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "data", "expected.json")
+    with open(path) as fh:
+        expected = json.load(fh)
+    for name, obj in expected["cli_files"].items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    assert len(expected["cli"]) == 78
+    for entry in expected["cli"]:
+        code, out = run(capsys, *entry["argv"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (entry["exit"], entry["sha256"]), entry["argv"]
+
+
 # ---------------------------------------------------------------- start-up
 
 
@@ -452,7 +504,7 @@ def fresh(code: str) -> str:
 
 LOADED = (
     "import json, sys; print(json.dumps(sorted(m for m in sys.modules"
-    " if m.startswith('horncalc') or m in ('dataclasses', 'inspect', 'numpy'))))"
+    " if m.startswith('horncalc') or m in ('dataclasses', 'fractions', 'inspect', 'numpy'))))"
 )
 
 
@@ -474,7 +526,7 @@ def test_horn_check_loads_no_geometry():
     loaded = set(json.loads(out))
     assert "horncalc.horn" in loaded
     assert not loaded & {f"horncalc.{m}" for m in ("tangent", "matrices", "flags", "fields")}
-    assert not loaded & {"dataclasses", "inspect", "numpy"}
+    assert not loaded & {"dataclasses", "fractions", "inspect", "numpy"}
 
 
 def test_no_module_loads_dataclasses():

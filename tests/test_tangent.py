@@ -345,7 +345,8 @@ class TestSamplingBudget:
         for field, cost in ((QQ, 64), (SQRT5, 256)):
             rng = rngmod.spawn(38, 0)
             state = rng.getstate()
-            with pytest.raises(BudgetError, match=rf"25000 samples .* at {cost} GF\(p\) cells each over"):
+            total = 25000 * 40 * cost
+            with pytest.raises(BudgetError, match=rf"25000 samples .* at {cost} GF\(p\) cells each over .*, {total} GF"):
                 tdim_estimate(t, field, 25000, rng)
             assert rng.getstate() == state
         # a 0 x 0 tangent map still draws and inverts three 40 x 40 matrices
