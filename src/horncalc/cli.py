@@ -86,9 +86,9 @@ def _load_matrix_file(path: str):
     from .matrices import Mat
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
     obj = _parse_json(text, path)
     if not (isinstance(obj, dict) and {"field", "entries"} <= obj.keys()):
@@ -208,18 +208,16 @@ def _cmd_kirwan_check(args):
 
 def _cmd_lr_nonzero(args):
     from .horn import HornTable
-    from .kirwan import kirwan_check, lr_nonvanishing, tuple_from_weights
+    from .kirwan import kirwan_check, tuple_from_weights
     from .subsets import Weight
 
     weights = [Weight(tuple(part)) for part in _json_arg(args.lam, "--lambda", 2)]
-    cache = HornTable()
-    ok = lr_nonvanishing(weights, cache)
+    # by saturation the coefficient is nonzero exactly when the weights lie in the Kirwan cone
+    ok, violated = kirwan_check([w.entries for w in weights], HornTable())
     out = {"nonzero": ok, "weights": [w.to_json() for w in weights]}
     if ok:
-        n, tup = tuple_from_weights(weights)
-        out["subset_tuple"] = tup.to_json()
+        out["subset_tuple"] = tuple_from_weights(weights)[1].to_json()
     else:
-        _, violated = kirwan_check([w.entries for w in weights], cache)
         out["violations"] = [c.to_json() for c in violated]
     return out, ok
 

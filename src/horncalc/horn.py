@@ -27,7 +27,7 @@ from math import comb, factorial
 from operator import add
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import BudgetError, DomainError, ShapeError
+from .errors import BudgetError, DomainError
 from .subsets import CardSubset, PositionTuple, enumerate_subsets
 
 # Canonical rows one level scan may test: the largest slice at r = 10, s = 3
@@ -251,9 +251,7 @@ class HornTable:
 
 def horn_member(tup: PositionTuple, cache: HornTable) -> HornVerdict:
     """Decide membership in Horn(r, n, s), with a violation witness on failure."""
-    r, n, s = tup.cardinality, tup.ground, tup.s
-    if r > n:
-        raise ShapeError(f"cardinality {r} exceeds ground {n}")
+    r, s = tup.cardinality, tup.s
     e = tup.edim()
     if e < 0:
         return HornVerdict(False, e, HornViolation("edim", None, None, e))

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError
-from .horn import HornTable, horn0
+from .horn import HornTable
 from .subsets import PositionTuple, Weight, subset_of_lambda, weights_of_tuple
 
 
@@ -78,10 +78,7 @@ def kirwan_inequality_set(r: int, s: int, cache: HornTable) -> list[tuple[int, P
     if s < 2:
         raise DomainError(f"need s >= 2, got {s}")
     cache.check_budget((d, r, s) for d in range(1, r))
-    out = []
-    for d in range(1, r):
-        out.extend((d, j) for j in horn0(d, r, s, cache))
-    return out
+    return [(d, j) for d in range(1, r) for j in cache.zero_slice(d, r, s)]
 
 
 def _evaluated(parts: Sequence[Sequence], cache: HornTable):
@@ -128,10 +125,7 @@ def kirwan_check(parts: Sequence[Sequence], cache: HornTable) -> tuple[bool, lis
 
 
 def lr_nonvanishing(lams: Sequence[Weight], cache: HornTable) -> bool:
-    """Whether the invariant count of the weight tuple is positive."""
-    for k, lam in enumerate(lams, start=1):
-        if not lam.is_dominant():
-            raise DomainError(f"weight {k} is not dominant: {lam.entries}")
+    """Whether the invariant count of the weight tuple is positive (dominance is the chamber check)."""
     _, trace, horn = _evaluated([lam.entries for lam in lams], cache)
     return trace == 0 and all(lhs <= 0 for _, _, lhs in horn)
 

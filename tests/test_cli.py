@@ -12,6 +12,7 @@ import pytest
 import horncalc
 from horncalc import cli
 from horncalc.cli import main
+from horncalc.tables import APPENDIX_B_CLOSURE_SIZES
 
 
 def run(capsys, *argv):
@@ -144,6 +145,13 @@ def test_malformed_json_arguments_exit_2(capsys, tmp_path):
         matrix.write_text(json.dumps(bad))
         assert main(["pos", "compute", "--flag", str(matrix), "--subspace", str(matrix)]) == 2, bad
         assert "Traceback" not in capsys.readouterr().err
+    # a file that is not UTF-8 (here a UTF-16 byte-order mark) is a usage error naming the file
+    matrix.write_bytes(b"\xff\xfe{}")
+    for argv in [["pos", "compute", "--flag", str(matrix), "--subspace", str(matrix)],
+                 ["cell", "sample", "--n", "4", "--subset", "[1,3]", "--flag", str(matrix)]]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"cannot read {matrix}" in err
 
 
 def test_unbounded_horn_scan_exits_2(capsys):
@@ -191,6 +199,20 @@ def test_unencodable_output_exits_3(capsys, monkeypatch):
     assert captured.out == "" and "ValueError" in captured.err
 
 
+# the refusal each of these edges names on stderr
+EDGE_REFUSALS = {
+    # _expand's listing budget: 2000 tuples of 2000 parts each
+    "horn0 --d 1 --r 2 --s 2000": "would list 2000 tuples of 2000 parts",
+    # check_budget's counting guard: 600 subsets x 3 parts x 600 budgets
+    "horn0 --d 1 --r 600": "would take 1080000 steps",
+    "kirwan check --xi [[1,0]]": "need s >= 2",
+    "lr nonzero --lambda [[1,0]]": "need s >= 2",
+    "kirwan check --xi [[1,0],[1]]": "all components must have the same length",
+    # dominance is the chamber check of the cone point
+    "lr nonzero --lambda [[0,1],[0,0],[0,0]]": "component 1 is not nonincreasing at positions (1, 2)",
+}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -202,6 +224,12 @@ def test_unencodable_output_exits_3(capsys, monkeypatch):
         (["horn0", "--d", "1", "--r", "2", "--s", "1"], 0),
         (["kirwan", "ineqs", "--r", "1"], 0),
         (["delta", "eval", "--n", "0", "--tuple", "[[],[],[]]"], 0),
+        (["horn0", "--d", "1", "--r", "2", "--s", "2000"], 2),
+        (["horn0", "--d", "1", "--r", "600"], 2),
+        (["kirwan", "check", "--xi", "[[1,0]]"], 2),
+        (["lr", "nonzero", "--lambda", "[[1,0]]"], 2),
+        (["kirwan", "check", "--xi", "[[1,0],[1]]"], 2),
+        (["lr", "nonzero", "--lambda", "[[0,1],[0,0],[0,0]]"], 2),
     ],
 )
 def test_integer_flag_edges_exit_code(capsys, argv, code):
@@ -209,6 +237,7 @@ def test_integer_flag_edges_exit_code(capsys, argv, code):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert (captured.out == "") == (code == 2)
+    assert EDGE_REFUSALS.get(" ".join(argv), "") in captured.err
 
 
 class TestCertifyCommand:
@@ -252,6 +281,12 @@ class TestKirwanCommands:
     def test_ineqs_count(self, capsys):
         code, obj = run_json(capsys, "kirwan", "ineqs", "--r", "2", "--s", "3")
         assert code == 0 and obj["count"] == 3
+
+    def test_ineqs_csv(self, capsys):
+        code, out = run(capsys, "kirwan", "ineqs", "--r", "3", "--format", "csv")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "d,J1,J2,J3"
+        assert len(lines) == 1 + APPENDIX_B_CLOSURE_SIZES[3] and lines[1] == "1,{1},{3},{3}"
 
     def test_ineqs_tex(self, capsys):
         code, out = run(capsys, "kirwan", "ineqs", "--r", "2", "--s", "3", "--format", "tex")
@@ -516,17 +551,28 @@ def test_cli_import_loads_only_errors():
     ]
 
 
-def test_horn_check_loads_no_geometry():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["horn", "check", "--n", "4", "--tuple", "[[1,4],[2,4]]"],
+        ["lr", "nonzero", "--lambda", "[[1,0],[0,0],[0,-1]]"],
+        ["kirwan", "check", "--xi", "[[1,0],[0,0],[0,-1]]"],
+    ],
+    ids=["horn-check", "lr-nonzero", "kirwan-check"],
+)
+def test_horn_check_loads_no_geometry(argv):
     out = fresh(
         "import contextlib, io\n"
         "from horncalc.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert main(['horn', 'check', '--n', '4', '--tuple', '[[1,4],[2,4]]']) == 0\n" + LOADED
+        f"    assert main({argv!r}) == 0\n" + LOADED
     )
     loaded = set(json.loads(out))
     assert "horncalc.horn" in loaded
     assert not loaded & {f"horncalc.{m}" for m in ("tangent", "matrices", "flags", "fields")}
-    assert not loaded & {"dataclasses", "fractions", "inspect", "numpy"}
+    assert not loaded & {"dataclasses", "inspect", "numpy"}
+    # the Kirwan commands read rational points; a Horn query needs no fractions
+    assert ("fractions" in loaded) == (argv[0] != "horn")
 
 
 def test_no_module_loads_dataclasses():
