@@ -12,7 +12,15 @@ Levels are closed under permuting the parts, so a scan visits canonical rows
 only (nondecreasing indices into the lex-ordered d-subsets of [r]), with a
 codimension budget that starts at d(r - d) and leaves each row's edim.  The
 composition test separates by part, edim(I o J) = sum_k D[I_k][J_k] -
-(s-1) m(r-m) with D[I][J] = dim(I o J): one precomputed vector per part.
+(s-1) m(r-m) with D[I][J] = dim(I o J) in [0, m(r-m)].  So each part packs
+into one integer with a w-bit lane per lower tuple J, part 0 adding a bias
+of 2^(w-1) - (s-1) m(r-m) to every lane, and one addition per part sums a
+row against every J at once: the row passes when each lane keeps its top
+bit.  w is the least width with 2^(w-1) >= (s-1) m(r-m) and 2^(w-1) > m(r-m)
+for every m < d, so no lane ever borrows or carries (SIMD within a
+register, as in bit-sliced linear algebra: Albrecht, Bard and Hart,
+ACM TOMS 37, 2010).  The level (r, r, s) holds only ([r], ..., [r]), of
+edim 0, since [r] o J = J, and is built without the slices below.
 Levels with 2d > r scan nothing: V -> V^perp sends the position J in
 Gr(r - d, r) to J* = {r + 1 - x : x not in J} in Gr(d, r), of the same
 dimension, so they are images of levels (r - d, r, s) (Belkale 2006).
@@ -24,11 +32,11 @@ import itertools
 from bisect import bisect_left
 from collections import Counter
 from math import comb, factorial
-from operator import add
+from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError
-from .subsets import CardSubset, PositionTuple, enumerate_subsets
+from .subsets import PositionTuple, enumerate_subsets
 
 # Canonical rows one level scan may test: the largest slice at r = 10, s = 3
 # tests 43,019, the full level (5, 12, 3) would test 4.65 million.
@@ -36,7 +44,6 @@ MAX_CANDIDATES = 10**6
 # Parts one level may hold once its rows are listed with every permutation
 # (tuples x s): the largest slice at r = 11, s = 3 lists 319,450 tuples.
 MAX_LISTED_PARTS = 3 * MAX_CANDIDATES
-HEAD = 32  # lower rows tested first; the smallest slices reject most failures
 
 Rows = list[tuple[tuple[int, ...], int]]  # index rows with their edims
 
@@ -140,8 +147,9 @@ class HornTable:
     """Memoized Horn levels (d, r, s): canonical index rows with their edims.
 
     A level is scanned for its edim-0 slice or, for enumeration, in full,
-    with the per-part tables D kept per (m, d, r); a level with 2d > r is
-    its mirror (r - d, r, s) mapped through J -> J*.  A query that would scan
+    with the per-part tables D kept per (m, d, r) and packed into lanes per
+    scan; a level with 2d > r is its mirror (r - d, r, s) mapped through
+    J -> J*, and the level (r, r, s) is its one row.  A query that would scan
     over ``MAX_CANDIDATES`` rows at a level, or whose count alone would take
     over ``MAX_CANDIDATES`` steps, raises ``BudgetError`` first.
     Tuples list every permutation, in lexicographic order, and skip validation
@@ -161,10 +169,6 @@ class HornTable:
         return _tuples(d, r, _expand(self._level((d, r, s), full=True), (d, r, s)))
 
     def zero_slice(self, d: int, r: int, s: int) -> list[PositionTuple]:
-        if d == r:
-            # single tuple ([r], ..., [r]); admitted for convenience
-            full = CardSubset(r, tuple(range(1, r + 1)))
-            return [PositionTuple((full,) * s)]
         key = (d, r, s)
         if key not in self._zero:
             self._zero[key] = [t for t, _ in _tuples(d, r, _expand(self._level(key), key))]
@@ -188,7 +192,8 @@ class HornTable:
             if d < r < 2 * d:  # a mirrored level scans its source
                 self.check_budget([(r - d, r, s)], full)
                 continue
-            self.check_budget([(m, d, s) for m in range(1, d)])
+            if d < r:  # the level (r, r, s) is built without the slices below
+                self.check_budget([(m, d, s) for m in range(1, d)])
             cell = d * (r - d)
             steps = comb(r, d) * s * (cell + 1)  # _count's loop; it also bounds the scan's per-budget pools
             if steps > MAX_CANDIDATES:
@@ -208,6 +213,8 @@ class HornTable:
                 stars = (tuple(y for y in ground if r + 1 - y not in c) for c in itertools.combinations(ground, r - d))
                 dual = self._duals[(d, r)] = [index[c] for c in stars]
             rows = sorted((tuple(sorted(dual[i] for i in row)), e) for row, e in self._level((r - d, r, s), full=full))
+        elif d == r:  # only ([r], ..., [r]), of edim 0, since [r] o J = J
+            rows = [((0,) * s, 0)]
         else:
             rows = self._scan(d, r, s, full)
         if full:
@@ -217,35 +224,48 @@ class HornTable:
     def _scan(self, d: int, r: int, s: int, full: bool) -> Rows:
         cell = d * (r - d)
         codims = [sub.codim() for sub in enumerate_subsets(d, r)]
-        # vecs[k][i]: D of subset i as part k against each row of the slices
-        # below, less (s-1) m(r-m) in part 0, after a sentinel 0 for d = 1
-        vecs = [[[0] for _ in codims] for _ in range(s)]
+        # lanes[k][i]: subset i as part k, packed w bits a lane with one lane
+        # per tuple J of the slices Z(m, d, s) below: D[i][J_k] in part k, and
+        # in part 0 also half - cut with cut = (s-1) m(r-m).  Summed over a
+        # row's parts, a lane holds half + edim(I o J), so the row passes
+        # exactly when every lane keeps its top bit.  D lies in [0, m(r-m)],
+        # so partial and full sums stay in [half - cut, half + m(r-m)]: with
+        # half >= cut and half > m(r-m) no lane borrows or carries.
+        top = max((m * (r - m) for m in range(1, d)), default=0)
+        w = max((s - 1) * top - 1, top).bit_length() + 1
+        half, one, none = 1 << (w - 1), "1".zfill(w), "0" * w
+        lanes = [[0] * len(codims) for _ in range(s)]
+        shift = 0  # the bits of the lanes packed so far
         for m in range(1, d):
             if (m, d, r) not in self._dims:  # D[i][j] = dim(I o J), by lex index
                 inner, base = list(itertools.combinations(range(d), m)), m * (m + 1) // 2
                 outer = itertools.combinations(range(1, r + 1), d)
                 self._dims[(m, d, r)] = [[sum(big[j] for j in small) - base for small in inner] for big in outer]
-            cut = (s - 1) * m * (r - m)
-            for k, col in enumerate(zip(*(row for row, _ in _expand(self._level((m, d, s)), (m, d, s))))):
-                for vec, dims in zip(vecs[k], self._dims[(m, d, r)]):
-                    vec += [dims[j] - cut for j in col] if k == 0 else [dims[j] for j in col]
+            tuples = [row for row, _ in _expand(self._level((m, d, s)), (m, d, s))]
+            for k, (part, col) in enumerate(zip(lanes, zip(*tuples))):
+                # picks[j]: 1 in the lanes whose tuple has the subset j in this part
+                picks = [int("".join(one if c == j else none for c in reversed(col)), 2) << shift for j in range(comb(d, m))]
+                bias = (half - (s - 1) * m * (r - m)) * sum(picks) if k == 0 else 0
+                for i, dims in enumerate(self._dims[(m, d, r)]):
+                    part[i] += sum(map(mul, dims, picks)) + bias
+            shift += w * len(tuples)
+        mask = ((1 << shift) - 1) // ((1 << w) - 1) << (w - 1)  # the top bit of each lane; 0 for d = 1
         # fits[b]: subsets within a budget b; the last part must use it up unless full
         fits = [[i for i, c in enumerate(codims) if c <= b] for b in range(cell + 1)]
         last = fits if full else [[i for i in fits[b] if codims[i] == b] for b in range(cell + 1)]
         rows: Rows = []
-        stack = [((), cell, [0] * len(vecs[0][0]))]  # depth first, s parts deep
+        stack = [((), cell, 0)]  # depth first, s parts deep
         while stack:
-            row, left, acc = stack.pop()  # acc: the vectors of row's parts but the last
+            row, left, acc = stack.pop()  # acc: the lanes of row's parts but the last
             k = len(row)
             pool = (last if k == s - 1 else fits)[left]
             pool = pool[bisect_left(pool, row[-1] if row else 0):]
             if pool and row:
-                acc = list(map(add, acc, vecs[k - 1][row[-1]]))
-            for i in pool:
-                if k < s - 1:
-                    stack.append((row + (i,), left - codims[i], acc))
-                elif min(map(add, acc[:HEAD], vecs[k][i])) >= 0 and min(map(add, acc, vecs[k][i])) >= 0:
-                    rows.append((row + (i,), left - codims[i]))
+                acc += lanes[k - 1][row[-1]]
+            if k < s - 1:
+                stack += [(row + (i,), left - codims[i], acc) for i in pool]
+            else:
+                rows += [(row + (i,), left - codims[i]) for i in pool if (acc + lanes[k][i]) & mask == mask]
         return sorted(rows)
 
 

@@ -178,6 +178,21 @@ def test_over_budget_query_exits_2_before_scanning(capsys, argv):
     assert "candidates" in capsys.readouterr().err
 
 
+def test_full_cardinality_enumerated_without_scanning(capsys, monkeypatch):
+    # Horn(12, 12, 3) holds only ([12], [12], [12]); no level below it is built
+    from horncalc.horn import HornTable
+
+    built, build = [], HornTable._build
+    monkeypatch.setattr(HornTable, "_build", lambda t, key, full=False: built.append(key) or build(t, key, full=full))
+    answers = {}
+    for r in (9, 12):
+        start = time.perf_counter()
+        code, answers[r] = run_json(capsys, "horn", "enumerate", "--r", str(r), "--n", str(r))
+        assert code == 0 and time.perf_counter() - start < 1.0
+        assert answers[r] == {"r": r, "n": r, "s": 3, "classes": [{"tuple": [list(range(1, r + 1))] * 3, "edim": 0}]}
+    assert built == [(9, 9, 3), (12, 12, 3)]
+
+
 def test_internal_failure_exits_3(capsys, monkeypatch):
     def broken(*_args):
         raise KeyError("boom")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -25,6 +26,32 @@ def reference_members(d, r, s, memo):
             if e >= 0 and all(tup.compose(j).edim() >= 0 for j in zero):
                 memo[key].append((tup, e))
     return memo[key]
+
+
+def list_scan(table, d, r, s, full):
+    """The level scan with one list entry per lower edim-0 tuple and no lanes.
+
+    vecs[k][i] lists D[i][J_k] = dim(I o J_k) for every tuple J of the slices
+    Z(m, d, s) below, less (s-1) m(r-m) in part 0; a canonical row passes when
+    every entry of its parts' sum is >= 0.
+    """
+    subsets = enumerate_subsets(d, r)
+    codims = [p.codim() for p in subsets]
+    vecs = [[[] for _ in subsets] for _ in range(s)]
+    for m in range(1, d):
+        dims = [[big.compose(small).dim() for small in enumerate_subsets(m, d)] for big in subsets]
+        cut = (s - 1) * m * (r - m)
+        below = horn._expand(table._level((m, d, s)), (m, d, s))
+        for k, col in enumerate(zip(*(row for row, _ in below))):
+            for vec, row in zip(vecs[k], dims):
+                vec += [row[j] - (cut if k == 0 else 0) for j in col]
+    rows = []
+    for row in itertools.combinations_with_replacement(range(len(subsets)), s):
+        left = d * (r - d) - sum(codims[i] for i in row)
+        if left == 0 or (full and left > 0):
+            if all(x >= 0 for x in map(sum, zip(*(vecs[k][i] for k, i in enumerate(row))))):
+                rows.append((row, left))
+    return rows
 
 
 class TestMembership:
@@ -203,6 +230,53 @@ class TestCanonicalBuild:
             expected = reference_members(d, r, s, memo)
             assert full.members(d, r, s) == expected
             assert zero.zero_slice(d, r, s) == [t for t, e in expected if e == 0]
+
+    def test_packed_scan_matches_list_scan(self):
+        # every level up to these ranks: scanned, mirrored or (r, r, s); the
+        # many parts of (1, 2, 12) and (2, 3, 7) leave (2, 3, 7) a bias of
+        # 16 - 12 in 5-bit lanes, and (4, 8, 3) and (3, 6, 4) use 6-bit lanes
+        shapes = [(s, r) for s, top in [(3, 8), (1, 6), (2, 6), (4, 6)] for r in range(1, top + 1)]
+        shapes += [(12, 2), (7, 3)]
+        for full in (True, False):
+            table = HornTable()
+            for s, r in shapes:
+                for d in range(1, r + 1):
+                    assert table._level((d, r, s), full) == list_scan(table, d, r, s, full), (d, r, s, full)
+                    if full and d == 1:  # no lanes: every candidate passes
+                        codims = [p.codim() for p in enumerate_subsets(1, r)]
+                        assert len(table._level((1, r, s), full)) == horn._count(codims, r - 1, s, True)
+
+    def test_zero_slice_digests(self):
+        # SHA-256 of repr([rows of Z(d, r, 3) for d < r]), as the list scan built them
+        want = {
+            2: "5d01f9884fc912f8c58d055641ae28610a7b325545fe235391614673216dfe47",
+            3: "3bb200f312faccfa008ee7c0dda1851988e28b5442dbab15c95524bdbfa84550",
+            4: "2e6787e5d6498dd6c983f0e1bfecc48178237e6a17a494016bdc4d5063514371",
+            5: "275fb6007cf5dc03666e186cf00e184c0ffbfb03e796657ac3714e63fdf6e342",
+            6: "c76662aa7f81cb911ba773ffa5f655723e075051ff1cc22e4d442c9ce94b483a",
+            7: "411ff09062ec816748b48962d98a4e6336cde446e2c33e4edaada98b1fce8b25",
+            8: "edc9870ca3197d5dc9fdd47eee0d9d2f611a44727f803e562fdf1edab06de867",
+            9: "0ba6a006cb48a32dd83d98acc2c2e2acadec74415be0d8cbc5266318c4bf1eb2",
+            10: "7b54b3096133f0e4d6b1a2efc0c484eb1aaf6f5b8734ac2693a18d30c59f82e4",
+        }
+        table = HornTable()
+        for r, digest in want.items():
+            assert hashlib.sha256(repr([table._level((d, r, 3)) for d in range(1, r)]).encode()).hexdigest() == digest, r
+
+    def test_full_cardinality_builds_nothing_below(self, monkeypatch):
+        # ([r], ..., [r]) is the one tuple of (r, r, s), with edim 0, since [r] o J = J
+        built, build = [], HornTable._build
+        monkeypatch.setattr(HornTable, "_build", lambda t, key, full=False: built.append(key) or build(t, key, full=full))
+        table = HornTable()
+        top = CardSubset(11, tuple(range(1, 12)))
+        assert horn_classes(11, 11, 3, table) == [(PositionTuple((top,) * 3), 0)]
+        assert table.zero_slice(11, 11, 5) == horn0(11, 11, 5, table) == [PositionTuple((top,) * 5)]
+        table.check_budget([(12, 12, 3)], full=True)  # the slice (6, 12, 3) below is over budget
+        assert built == [(11, 11, 3), (11, 11, 5)]
+        with pytest.raises(BudgetError, match="steps"):  # a tuple of s parts is still budgeted
+            table.zero_slice(2, 2, 10**6 + 1)
+        with pytest.raises(DomainError):
+            horn0(2, 2, 0, table)
 
     def test_zero_slice_sizes(self):
         table = HornTable()
