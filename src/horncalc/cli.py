@@ -49,8 +49,8 @@ def _parse_json(text: str, what: str):
 def _checked(value, depth: int, entry, what: str):
     """``value`` as lists nested ``depth`` deep, each entry converted by ``entry``.
 
-    Wrong nesting raises ``ShapeError`` and an entry that ``entry`` rejects
-    raises ``DomainError``, so every malformed argument is a usage error.
+    Wrong nesting raises ``ShapeError``, a boolean or an entry that ``entry``
+    rejects ``DomainError``, so every malformed argument is a usage error.
     """
     if depth:
         if not isinstance(value, list):
@@ -58,13 +58,22 @@ def _checked(value, depth: int, entry, what: str):
         return [_checked(x, depth - 1, entry, what) for x in value]
     if isinstance(value, (list, dict)):
         raise ShapeError(f"bad {what}: expected a scalar entry, got {json.dumps(value)}")
+    if isinstance(value, bool):  # a Python int, but no payload format allows it
+        raise DomainError(f"bad {what}: entry {json.dumps(value)}: not a number")
     try:
         return entry(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"bad {what}: entry {json.dumps(value)}: {exc}") from exc
 
 
-def _json_arg(text: str, what: str, depth: int, entry=int):
+def _int(value) -> int:
+    """An integer or integer string: a float is refused, not truncated."""
+    if isinstance(value, float):
+        raise TypeError("not an integer")
+    return int(value)
+
+
+def _json_arg(text: str, what: str, depth: int, entry=_int):
     return _checked(_parse_json(text, what), depth, entry, what)
 
 
@@ -300,15 +309,15 @@ def _cmd_hn_search(args):
 def _cmd_delta_eval(args):
     from . import rng as rngmod
     from .fields import QQ
-    from .matrices import random_invertible
+    from .flags import Flag
     from .tangent import check_delta_budget, delta_determinant
 
     tup = _tuple_from_args(args)
     check_delta_budget(tup, QQ)  # before any matrix is drawn
     rng = rngmod.spawn(args.seed, 0)
     r, q = tup.cardinality, tup.ground - tup.cardinality
-    gs = [random_invertible(QQ, r, rng) for _ in range(tup.s)]
-    hs = [random_invertible(QQ, q, rng) for _ in range(tup.s)]
+    gs = [Flag.random(QQ, r, rng).mat for _ in range(tup.s)]
+    hs = [Flag.random(QQ, q, rng).mat for _ in range(tup.s)]
     value = delta_determinant(tup, gs, hs)
     return {
         "tuple": tup.to_json(),

@@ -181,6 +181,8 @@ class PrimeField:
         return str(a % self.p)
 
     def parse(self, s):
+        if isinstance(s, float):  # refused, not truncated
+            raise TypeError("not an integer")
         return int(s) % self.p
 
     def to_json_tag(self):

@@ -57,7 +57,7 @@ class Flag:
     @classmethod
     def random(cls, field, n: int, rng) -> "Flag":
         # the constructor's rank check rejects singular draws (probability
-        # <= n/p over GF(p)); resample as random_invertible does
+        # <= n/p over GF(p)); resample
         for _ in range(1000):
             try:
                 return cls(field, random_matrix(field, n, n, rng))
@@ -100,9 +100,6 @@ class SubspaceBasis:
     @classmethod
     def from_columns(cls, field, cols, ambient_dim: int | None = None) -> "SubspaceBasis":
         return cls(field, Mat.from_columns(field, cols, ambient_dim))
-
-    def to_json(self) -> dict:
-        return {"field": self.field.to_json_tag(), "entries": self.mat.format_entries()}
 
     def __repr__(self):
         return f"SubspaceBasis({self.dim} in {self.ambient_dim}, field={self.field!r})"

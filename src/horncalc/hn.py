@@ -191,28 +191,19 @@ def _walk(coords, thetas, q: int, bases: list, total: int, i: int) -> tuple[int,
     over every choice of rows i.., the row choices of the first subspace in
     enumeration order that reaches it, and how many reach it.
     """
-    low = None
-    if i == len(coords) - 1:
-        for c, ws in enumerate(coords[i]):
-            t = total
-            for basis, w, th in zip(bases, ws, thetas):
-                t += th[_reduce(basis, w, q)[0]]
-            if low is None or t < low:
-                low, first, count = t, (c,), 1
-            elif t == low:
-                count += 1
-        return low, first, count
+    low, leaf = None, i == len(coords) - 1
     for c, ws in enumerate(coords[i]):
         t = total
         extended = []
         for basis, w, th in zip(bases, ws, thetas):
             m, w = _reduce(basis, w, q)
             t += th[m]
-            basis = basis[:]
-            unit = pow(w[m], -1, q)
-            basis[m] = [x * unit % q for x in w]
-            extended.append(basis)
-        sub_low, sub_first, sub_count = _walk(coords, thetas, q, extended, t, i + 1)
+            if not leaf:  # no row is reduced against the last one
+                basis = basis[:]
+                unit = pow(w[m], -1, q)
+                basis[m] = [x * unit % q for x in w]
+                extended.append(basis)
+        sub_low, sub_first, sub_count = (t, (), 1) if leaf else _walk(coords, thetas, q, extended, t, i + 1)
         if low is None or sub_low < low:
             low, first, count = sub_low, (c,) + sub_first, sub_count
         elif sub_low == low:

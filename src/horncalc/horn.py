@@ -147,11 +147,11 @@ class HornTable:
     """Memoized Horn levels (d, r, s): canonical index rows with their edims.
 
     A level is scanned for its edim-0 slice or, for enumeration, in full,
-    with the per-part tables D kept per (m, d, r) and packed into lanes per
-    scan; a level with 2d > r is its mirror (r - d, r, s) mapped through
-    J -> J*, and the level (r, r, s) is its one row.  A query that would scan
-    over ``MAX_CANDIDATES`` rows at a level, or whose count alone would take
-    over ``MAX_CANDIDATES`` steps, raises ``BudgetError`` first.
+    with the per-part tables D built and packed into lanes per scan; a level
+    with 2d > r is its mirror (r - d, r, s) mapped through J -> J*, and the
+    level (r, r, s) is its one row.  A query that would scan over
+    ``MAX_CANDIDATES`` rows at a level, or whose count alone would take over
+    ``MAX_CANDIDATES`` steps, raises ``BudgetError`` first.
     Tuples list every permutation, in lexicographic order, and skip validation
     (their parts come from ``enumerate_subsets``).  Built levels never change.
     """
@@ -160,8 +160,6 @@ class HornTable:
         self._rows: dict[tuple[int, int, int], Rows] = {}  # full levels
         self._zero_rows: dict[tuple[int, int, int], Rows] = {}
         self._zero: dict[tuple[int, int, int], list[PositionTuple]] = {}
-        self._dims: dict[tuple[int, int, int], list[list[int]]] = {}
-        self._duals: dict[tuple[int, int], list[int]] = {}
         self._checked: set[tuple[tuple[int, int, int], bool]] = set()  # (key, full) within budget
         self.kirwan_systems: dict[tuple[int, int], list] = {}  # filled by horncalc.kirwan
 
@@ -207,11 +205,10 @@ class HornTable:
         """Build one level: its edim-0 rows, or all its rows if ``full``."""
         d, r, s = key
         if d < r < 2 * d:  # the image of level (r - d, r, s) under J -> J*
-            if (dual := self._duals.get((d, r))) is None:  # lex index of J -> lex index of J*
-                ground = range(1, r + 1)
-                index = {c: i for i, c in enumerate(itertools.combinations(ground, d))}
-                stars = (tuple(y for y in ground if r + 1 - y not in c) for c in itertools.combinations(ground, r - d))
-                dual = self._duals[(d, r)] = [index[c] for c in stars]
+            ground = range(1, r + 1)  # dual[i]: lex index of J* for J of lex index i
+            index = {c: i for i, c in enumerate(itertools.combinations(ground, d))}
+            stars = (tuple(y for y in ground if r + 1 - y not in c) for c in itertools.combinations(ground, r - d))
+            dual = [index[c] for c in stars]
             rows = sorted((tuple(sorted(dual[i] for i in row)), e) for row, e in self._level((r - d, r, s), full=full))
         elif d == r:  # only ([r], ..., [r]), of edim 0, since [r] o J = J
             rows = [((0,) * s, 0)]
@@ -237,16 +234,15 @@ class HornTable:
         lanes = [[0] * len(codims) for _ in range(s)]
         shift = 0  # the bits of the lanes packed so far
         for m in range(1, d):
-            if (m, d, r) not in self._dims:  # D[i][j] = dim(I o J), by lex index
-                inner, base = list(itertools.combinations(range(d), m)), m * (m + 1) // 2
-                outer = itertools.combinations(range(1, r + 1), d)
-                self._dims[(m, d, r)] = [[sum(big[j] for j in small) - base for small in inner] for big in outer]
+            inner, base = list(itertools.combinations(range(d), m)), m * (m + 1) // 2
+            outer = itertools.combinations(range(1, r + 1), d)  # table[i][j] = dim(I o J), by lex index
+            table = [[sum(big[j] for j in small) - base for small in inner] for big in outer]
             tuples = [row for row, _ in _expand(self._level((m, d, s)), (m, d, s))]
             for k, (part, col) in enumerate(zip(lanes, zip(*tuples))):
                 # picks[j]: 1 in the lanes whose tuple has the subset j in this part
                 picks = [int("".join(one if c == j else none for c in reversed(col)), 2) << shift for j in range(comb(d, m))]
                 bias = (half - (s - 1) * m * (r - m)) * sum(picks) if k == 0 else 0
-                for i, dims in enumerate(self._dims[(m, d, r)]):
+                for i, dims in enumerate(table):
                     part[i] += sum(map(mul, dims, picks)) + bias
             shift += w * len(tuples)
         mask = ((1 << shift) - 1) // ((1 << w) - 1) << (w - 1)  # the top bit of each lane; 0 for d = 1

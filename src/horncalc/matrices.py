@@ -87,10 +87,6 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def col(self, j: int) -> list:
         return [r[j] for r in self.rows]
 
@@ -130,9 +126,6 @@ class Mat:
             raise ShapeError("matrix addition needs identical shapes")
         f = self.field
         return Mat(f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def sub(self, other: "Mat") -> "Mat":
-        return self.add(other.scale(self.field.neg(self.field.one)))
 
     def is_zero(self) -> bool:
         f = self.field
@@ -259,15 +252,6 @@ def solve_exact(a: Mat, b: Mat) -> Mat:
 
 def random_matrix(field, nrows: int, ncols: int, rng) -> Mat:
     return Mat(field, [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)], ncols)
-
-
-def random_invertible(field, n: int, rng, max_tries: int = 1000) -> Mat:
-    # singular draws have probability <= n/p over GF(p); resample
-    for _ in range(max_tries):
-        m = random_matrix(field, n, n, rng)
-        if rank(m) == n:
-            return m
-    raise DomainError("failed to sample an invertible matrix")
 
 
 def random_upper_triangular(field, n: int, rng) -> Mat:

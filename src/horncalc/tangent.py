@@ -180,13 +180,6 @@ def _sample_cells(tup: PositionTuple) -> tuple[int, int, int]:
     return rows, cols, rows * cols * min(rows, cols) + tup.s * (r**3 + q**3)
 
 
-def _sample_flag_tuples(tup: PositionTuple, field, rng) -> tuple[list[Flag], list[Flag]]:
-    r, q = tup.cardinality, tup.ground - tup.cardinality
-    fs = [Flag.random(field, r, rng) for _ in range(tup.s)]
-    gs = [Flag.random(field, q, rng) for _ in range(tup.s)]
-    return fs, gs
-
-
 def _min_sampled_dim(tup: PositionTuple, field, samples: int, rng, stop_at: Optional[int] = None):
     """Smallest joint dimension over sampled flag tuples, with its flags.
 
@@ -200,9 +193,11 @@ def _min_sampled_dim(tup: PositionTuple, field, samples: int, rng, stop_at: Opti
     rows, cols, cells = _sample_cells(tup)
     what = f"{samples} samples of {cells} elimination cells each (reduced matrix {rows} x {cols})"
     check_elim_cells(field, samples * cells, what)
+    r, q = tup.cardinality, tup.ground - tup.cardinality
     best = None
     for _ in range(samples):
-        fs, gs = _sample_flag_tuples(tup, field, rng)
+        fs = [Flag.random(field, r, rng) for _ in range(tup.s)]
+        gs = [Flag.random(field, q, rng) for _ in range(tup.s)]
         d = h_intersection_dim(tup, fs, gs)
         if best is None or d < best[0]:
             best = (d, fs, gs)
@@ -347,12 +342,7 @@ def borel_character(mu: Weight, b: Mat):
             raise DomainError(f"zero diagonal entry at {i + 1}")
     result = fld.one
     for i, m in enumerate(mu):
-        d = b.rows[i][i]
-        if m >= 0:
-            for _ in range(m):
-                result = fld.mul(result, d)
-        else:
-            dinv = fld.div(fld.one, d)
-            for _ in range(-m):
-                result = fld.mul(result, dinv)
+        d = b.rows[i][i] if m >= 0 else fld.div(fld.one, b.rows[i][i])
+        for _ in range(abs(m)):
+            result = fld.mul(result, d)
     return result

@@ -17,7 +17,7 @@ from horncalc.flags import Flag, position
 from horncalc.hn import hn_minimizer_exhaustive
 from horncalc.horn import horn_classes, horn_member
 from horncalc.kirwan import kirwan_inequality_set, lr_nonvanishing
-from horncalc.matrices import Mat, random_invertible, random_upper_triangular, rank
+from horncalc.matrices import Mat, random_upper_triangular, rank
 from horncalc.subsets import CardSubset, PositionTuple, Weight, enumerate_subsets
 from horncalc.tables import (
     APPENDIX_A_KEYS,
@@ -203,8 +203,8 @@ def test_criterion_7_delta_equivariance():
         r, q, s = tup.cardinality, tup.ground - tup.cardinality, tup.s
         for i in range(20):
             rng = rngmod.spawn(7000, t_idx, i)
-            gs = [random_invertible(QQ, r, rng) for _ in range(s)]
-            hs = [random_invertible(QQ, q, rng) for _ in range(s)]
+            gs = [Flag.random(QQ, r, rng).mat for _ in range(s)]
+            hs = [Flag.random(QQ, q, rng).mat for _ in range(s)]
             base = delta_determinant(tup, gs, hs)
             bs = [random_upper_triangular(QQ, r, rng) for _ in range(s)]
             bps = [random_upper_triangular(QQ, q, rng) for _ in range(s)]
@@ -212,8 +212,8 @@ def test_criterion_7_delta_equivariance():
                 tup, [g.mul(b) for g, b in zip(gs, bs)], [h.mul(bp) for h, bp in zip(hs, bps)]
             )
             assert lhs == base * _borel_factor(tup, bs, bps)
-            g = random_invertible(QQ, r, rng)
-            h = random_invertible(QQ, q, rng)
+            g = Flag.random(QQ, r, rng).mat
+            h = Flag.random(QQ, q, rng).mat
             lhs2 = delta_determinant(
                 tup, [inverse(g).mul(gk) for gk in gs], [inverse(h).mul(hk) for hk in hs]
             )
@@ -222,8 +222,8 @@ def test_criterion_7_delta_equivariance():
     dead = pt(4, [1, 4], [2, 3])
     for i in range(20):
         rng = rngmod.spawn(7001, i)
-        gs = [random_invertible(QQ, 2, rng) for _ in range(2)]
-        hs = [random_invertible(QQ, 2, rng) for _ in range(2)]
+        gs = [Flag.random(QQ, 2, rng).mat for _ in range(2)]
+        hs = [Flag.random(QQ, 2, rng).mat for _ in range(2)]
         assert delta_determinant(dead, gs, hs) == 0
     report(
         "criterion 7 (delta equivariance)",

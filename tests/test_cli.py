@@ -154,6 +154,41 @@ def test_malformed_json_arguments_exit_2(capsys, tmp_path):
         assert "Traceback" not in err and f"cannot read {matrix}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["horn", "check", "--n", "4", "--tuple", "[[1.9,4],[2,3]]"], "bad --tuple: entry 1.9: not an integer"),
+        (["horn", "check", "--n", "4", "--tuple", "[[true,4],[2,4]]"], "bad --tuple: entry true: not a number"),
+        (["lr", "nonzero", "--lambda", "[[1.5,0],[0,0],[0,-1]]"], "bad --lambda: entry 1.5: not an integer"),
+        (["cell", "sample", "--n", "4", "--subset", "[1.7,3]"], "bad --subset: entry 1.7: not an integer"),
+        (["hn", "search", "--r", "2", "--theta", "[[0.5,1],[0,0],[0,0]]"], "bad --theta: entry 0.5: not an integer"),
+        (["variational", "demo", "--j", "[1.2]"], "bad --j: entry 1.2: not an integer"),
+        (["pos", "compute", "--flag", "prime.json", "--subspace", "prime.json"],
+         "bad matrix file prime.json: entry 1.5: not an integer"),
+        (["pos", "compute", "--flag", "rational.json", "--subspace", "rational.json"],
+         "bad matrix file rational.json: entry true: not a number"),
+    ],
+)
+def test_float_or_boolean_for_an_integer_exits_2(capsys, tmp_path, monkeypatch, argv, message):
+    # payloads allow integers and strings: a float is not truncated, nor a boolean read as 1
+    (tmp_path / "prime.json").write_text(json.dumps({"field": {"prime": 7}, "entries": [[1.5, 0], [0, 1]]}))
+    (tmp_path / "rational.json").write_text(json.dumps({"field": "rational", "entries": [[True, 0], [0, 1]]}))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_integer_strings_and_exact_rationals_are_read(capsys, tmp_path):
+    assert run(capsys, "horn", "check", "--n", "4", "--tuple", '[["1","4"],[2,"4"]]') == run(
+        capsys, "horn", "check", "--n", "4", "--tuple", "[[1,4],[2,4]]"
+    )
+    flag = tmp_path / "flag.json"
+    flag.write_text(json.dumps({"field": "rational", "entries": [[1.5, 0], [0, 1]]}))
+    code, obj = run_json(capsys, "cell", "sample", "--n", "2", "--subset", "[1]", "--flag", str(flag))
+    assert code == 0 and obj["basis"] == [["3/2"], ["0"]]
+
+
 def test_unbounded_horn_scan_exits_2(capsys):
     # Horn(6, 14, 3) has 180,270,006 canonical candidates, far over the budget
     start = time.perf_counter()

@@ -6,12 +6,12 @@ import pytest
 from horncalc import rng as rngmod
 from horncalc.errors import DomainError, ShapeError
 from horncalc.fields import QQ, SQRT5, PrimeField, Sqrt5, field_from_tag, is_prime
+from horncalc.flags import Flag
 from horncalc.matrices import (
     Mat,
     det,
     inverse,
     kernel_basis,
-    random_invertible,
     random_matrix,
     rank,
     rref,
@@ -245,7 +245,7 @@ class TestInverseDetSolve:
     def test_inverse(self):
         rng = rngmod.spawn(4, 0)
         for field in (QQ, PrimeField(13)):
-            m = random_invertible(field, 4, rng)
+            m = Flag.random(field, 4, rng).mat
             assert m.mul(inverse(m)) == Mat.identity(field, 4)
 
     def test_singular_inverse_raises(self):

@@ -15,7 +15,6 @@ from horncalc.matrices import (
     det,
     inverse,
     kernel_basis,
-    random_invertible,
     random_matrix,
     random_upper_triangular,
     rank,
@@ -395,8 +394,8 @@ class TestDelta:
     def test_preconditions(self):
         rng = rngmod.spawn(37, 0)
         t = pt(4, [1, 4], [2, 4])  # edim 1
-        gs = [random_invertible(QQ, 2, rng) for _ in range(2)]
-        hs = [random_invertible(QQ, 2, rng) for _ in range(2)]
+        gs = [Flag.random(QQ, 2, rng).mat for _ in range(2)]
+        hs = [Flag.random(QQ, 2, rng).mat for _ in range(2)]
         with pytest.raises(DomainError):
             delta_determinant(t, gs, hs)
         t0 = pt(4, [1, 4], [2, 3])
@@ -410,8 +409,8 @@ class TestDelta:
         rng = rngmod.spawn(37, 1)
         t = pt(4, [1, 4], [2, 3])
         for _ in range(20):
-            gs = [random_invertible(QQ, 2, rng) for _ in range(2)]
-            hs = [random_invertible(QQ, 2, rng) for _ in range(2)]
+            gs = [Flag.random(QQ, 2, rng).mat for _ in range(2)]
+            hs = [Flag.random(QQ, 2, rng).mat for _ in range(2)]
             assert delta_determinant(t, gs, hs) == 0
 
     def test_nonzero_generically_for_intersecting(self):
@@ -420,8 +419,8 @@ class TestDelta:
             r, q = t.cardinality, t.ground - t.cardinality
             found = False
             for _ in range(5):
-                gs = [random_invertible(QQ, r, rng) for _ in range(t.s)]
-                hs = [random_invertible(QQ, q, rng) for _ in range(t.s)]
+                gs = [Flag.random(QQ, r, rng).mat for _ in range(t.s)]
+                hs = [Flag.random(QQ, q, rng).mat for _ in range(t.s)]
                 if delta_determinant(t, gs, hs) != 0:
                     found = True
                     break
@@ -432,8 +431,8 @@ class TestDelta:
         rng = rngmod.spawn(37, 3)
         t = pt(3, [1, 2], [2, 3], [2, 3])
         for _ in range(10):
-            gs = [random_invertible(QQ, 2, rng) for _ in range(3)]
-            hs = [random_invertible(QQ, 1, rng) for _ in range(3)]
+            gs = [Flag.random(QQ, 2, rng).mat for _ in range(3)]
+            hs = [Flag.random(QQ, 1, rng).mat for _ in range(3)]
             fs = [Flag(QQ, g) for g in gs]
             gflags = [Flag(QQ, h) for h in hs]
             d = delta_determinant(t, gs, hs)
@@ -449,8 +448,8 @@ class TestEquivariance:
     def test_hom_base_change_determinant(self):
         rng = rngmod.spawn(38, 0)
         for r, q in ((2, 3), (3, 2), (2, 2)):
-            g = random_invertible(QQ, r, rng)
-            h = random_invertible(QQ, q, rng)
+            g = Flag.random(QQ, r, rng).mat
+            h = Flag.random(QQ, q, rng).mat
             m = hom_conjugation_matrix(g, h)
             assert det(m) == det(g) ** (-q) * det(h) ** r
 
@@ -472,8 +471,8 @@ class TestEquivariance:
         t = PositionTuple.from_lists(n, tuple_lists)
         r, q = t.cardinality, t.ground - t.cardinality
         for _ in range(3):
-            gs = [random_invertible(QQ, r, rng) for _ in range(t.s)]
-            hs = [random_invertible(QQ, q, rng) for _ in range(t.s)]
+            gs = [Flag.random(QQ, r, rng).mat for _ in range(t.s)]
+            hs = [Flag.random(QQ, q, rng).mat for _ in range(t.s)]
             base = delta_determinant(t, gs, hs)
             bs = [random_upper_triangular(QQ, r, rng) for _ in range(t.s)]
             bps = [random_upper_triangular(QQ, q, rng) for _ in range(t.s)]
@@ -495,11 +494,11 @@ class TestEquivariance:
         r, q = t.cardinality, t.ground - t.cardinality
         s = t.s
         for _ in range(3):
-            gs = [random_invertible(QQ, r, rng) for _ in range(s)]
-            hs = [random_invertible(QQ, q, rng) for _ in range(s)]
+            gs = [Flag.random(QQ, r, rng).mat for _ in range(s)]
+            hs = [Flag.random(QQ, q, rng).mat for _ in range(s)]
             base = delta_determinant(t, gs, hs)
-            g = random_invertible(QQ, r, rng)
-            h = random_invertible(QQ, q, rng)
+            g = Flag.random(QQ, r, rng).mat
+            h = Flag.random(QQ, q, rng).mat
             gi, hi = inverse(g), inverse(h)
             lhs = delta_determinant(t, [gi.mul(gk) for gk in gs], [hi.mul(hk) for hk in hs])
             assert lhs == det(g) ** (-q * (1 - s)) * det(h) ** (r * (1 - s)) * base
