@@ -44,13 +44,15 @@ def _parse_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON in {what} at position {exc.pos}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer over the digit limit, or nesting too deep
+        raise DomainError(f"malformed JSON in {what}: {exc}") from exc
 
 
 def _checked(value, depth: int, entry, what: str):
     """``value`` as lists nested ``depth`` deep, each entry converted by ``entry``.
 
-    Wrong nesting raises ``ShapeError``, a boolean or an entry that ``entry``
-    rejects ``DomainError``, so every malformed argument is a usage error.
+    Wrong nesting raises ``ShapeError``; a boolean, an entry that ``entry``
+    rejects or one past the int-to-str digit limit raises ``DomainError``.
     """
     if depth:
         if not isinstance(value, list):
@@ -61,9 +63,11 @@ def _checked(value, depth: int, entry, what: str):
     if isinstance(value, bool):  # a Python int, but no payload format allows it
         raise DomainError(f"bad {what}: entry {json.dumps(value)}: not a number")
     try:
-        return entry(value)
+        x = entry(value)
+        str(x)  # ValueError past the int-to-str digit limit, which no answer could print
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise DomainError(f"bad {what}: entry {json.dumps(value)}: {exc}") from exc
+    return x
 
 
 def _int(value) -> int:
@@ -107,17 +111,13 @@ def _load_matrix_file(path: str):
     return field, Mat(field, entries, len(entries[0]) if entries else 0)
 
 
-def _parts(tup) -> list[list[int]]:
-    return [list(p.elements) for p in tup.parts]
-
-
 def _format_subset(elems) -> str:
     return "{" + ",".join(str(x) for x in elems) + "}"
 
 
 def _class_table(r: int, n: int, s: int, classes, fmt: str):
     """Horn(r, n, s) classes as JSON rows, or rendered as csv, tex or text."""
-    rows = [(_parts(tup), e) for tup, e in classes]
+    rows = [(tup.to_lists(), e) for tup, e in classes]
     if fmt == "json":
         return [{"tuple": parts, "edim": e} for parts, e in rows]
     if fmt == "csv":
@@ -163,7 +163,7 @@ def _cmd_horn0(args):
     from .horn import HornTable, horn0
 
     tuples = horn0(args.d, args.r, args.s, HornTable())
-    return {"d": args.d, "r": args.r, "s": args.s, "tuples": [_parts(t) for t in tuples]}, True
+    return {"d": args.d, "r": args.r, "s": args.s, "tuples": [t.to_lists() for t in tuples]}, True
 
 
 # ---------------------------------------------------------------- intersect
@@ -186,7 +186,7 @@ def _cmd_kirwan_ineqs(args):
     from .horn import HornTable
     from .kirwan import kirwan_inequality_set
 
-    rows = [(d, _parts(j)) for d, j in kirwan_inequality_set(args.r, args.s, HornTable())]
+    rows = [(d, j.to_lists()) for d, j in kirwan_inequality_set(args.r, args.s, HornTable())]
     if args.format == "json":
         inequalities = [{"d": d, "parts": parts} for d, parts in rows]
         return {"r": args.r, "s": args.s, "count": len(rows), "inequalities": inequalities}, True

@@ -56,22 +56,47 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Row updates of the elimination loop, for fields whose scalars carry their
-# own arithmetic operators.
-def _scale_row(self, c, row):
-    return [c * x for x in row]
+class _OperatorField:
+    """A field whose scalars carry their own operators; all instances of a subclass are equal.
+
+    Subclasses set ``name``, ``tag`` (JSON) and ``symbol`` (repr) and write
+    ``add``, ``sub``, ``mul`` and ``is_zero``.
+    """
+
+    def div(self, a, b):
+        if self.is_zero(b):
+            raise ZeroDivisionError(f"division by zero in {self!r}")
+        return a / b
+
+    def neg(self, a):
+        return -a
+
+    # row updates of the elimination loop
+    def scale_row(self, c, row):
+        return [c * x for x in row]
+
+    def sub_scaled_row(self, row, c, pivot_row):
+        return [x - c * y for x, y in zip(row, pivot_row)]
+
+    def dot(self, xs, ys):
+        return sum(map(_mul, xs, ys), self.zero)
+
+    def to_json_tag(self):
+        return self.tag
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(self.tag)
+
+    def __repr__(self):
+        return self.symbol
 
 
-def _sub_scaled_row(self, row, c, pivot_row):
-    return [x - c * y for x, y in zip(row, pivot_row)]
-
-
-def _dot(self, xs, ys):
-    return sum(map(_mul, xs, ys), self.zero)
-
-
-class RationalField:
-    name = "rational"
+class RationalField(_OperatorField):
+    name = tag = "rational"
+    symbol = "QQ"
     # an elimination cell, in GF(p) cells (``matrices.check_elim_cells``)
     cell_cost = 64
 
@@ -87,20 +112,8 @@ class RationalField:
     def mul(self, a, b):
         return a * b
 
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in the rational field")
-        return a / b
-
-    def neg(self, a):
-        return -a
-
     def is_zero(self, a):
         return a == 0
-
-    scale_row = _scale_row
-    sub_scaled_row = _sub_scaled_row
-    dot = _dot
 
     def from_int(self, k):
         return Fraction(k)
@@ -115,18 +128,6 @@ class RationalField:
         if isinstance(s, (int, Fraction)):
             return Fraction(s)
         return Fraction(str(s))
-
-    def to_json_tag(self):
-        return "rational"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "QQ"
 
 
 class PrimeField:
@@ -239,15 +240,15 @@ class Sqrt5:
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
 
-    def __eq__(self, other):
-        other = _coerce(other)
-        return self.a == other.a and self.b == other.b
+    def __eq__(self, other):  # equal to the rational it is, if any, and hashed like it
+        if isinstance(other, Sqrt5):
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return hash((self.a, self.b)) if self.b else hash(self.a)
 
     def __repr__(self):
         return f"Sqrt5({self.a}, {self.b})"
@@ -264,10 +265,11 @@ _SQRT5_RE = re.compile(
 )
 
 
-class Sqrt5Field:
+class Sqrt5Field(_OperatorField):
     """The quadratic extension Q(sqrt 5), written as a + b*s5 in serial form."""
 
-    name = "Q(sqrt5)"
+    name = symbol = "Q(sqrt5)"
+    tag = "sqrt5"
     cell_cost = 256
     zero = Sqrt5(0)
     one = Sqrt5(1)
@@ -281,18 +283,8 @@ class Sqrt5Field:
     def mul(self, a, b):
         return a * b
 
-    def div(self, a, b):
-        return a / b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    scale_row = _scale_row
-    sub_scaled_row = _sub_scaled_row
-    dot = _dot
+    def is_zero(self, x):
+        return x.a == 0 and x.b == 0
 
     def from_int(self, k):
         return Sqrt5(k)
@@ -322,18 +314,6 @@ class Sqrt5Field:
             if m.group("sign") == "-":
                 b = -b
         return Sqrt5(a, b)
-
-    def to_json_tag(self):
-        return "sqrt5"
-
-    def __eq__(self, other):
-        return isinstance(other, Sqrt5Field)
-
-    def __hash__(self):
-        return hash("sqrt5")
-
-    def __repr__(self):
-        return self.name
 
 
 QQ = RationalField()

@@ -97,17 +97,13 @@ def _expand(rows: Rows, key: tuple[int, int, int]) -> Rows:
         raise BudgetError(f"Horn level {key} would list {listed} tuples of {s} parts, over {MAX_LISTED_PARTS} parts")
     out = []  # distinct rows are distinct multisets: their permutations never meet
     for row, e in rows:
-        perms = itertools.permutations(row) if len(set(row)) == len(row) else _multiset_permutations(row)
-        out += [(p, e) for p in perms]
+        out += [(p, e) for p in _multiset_permutations(row)]
     return sorted(out)
 
 
 def _tuples(d: int, r: int, rows: Rows) -> list[tuple[PositionTuple, int]]:
-    get, new, put, out = enumerate_subsets(d, r).__getitem__, object.__new__, object.__setattr__, []
-    for row, e in rows:  # parts from one subset list: the shape check cannot fail
-        put(tup := new(PositionTuple), "parts", tuple(map(get, row)))
-        out.append((tup, e))
-    return out
+    get, make = enumerate_subsets(d, r).__getitem__, PositionTuple.unchecked  # parts of one shape
+    return [(make(tuple(map(get, row))), e) for row, e in rows]
 
 
 class HornViolation(NamedTuple):
@@ -127,7 +123,7 @@ class HornViolation(NamedTuple):
         out = {"kind": self.kind, "edim": self.edim_value}
         if self.kind == "composition":
             out["d"] = self.d
-            out["j_tuple"] = [list(p.elements) for p in self.j_tuple.parts]
+            out["j_tuple"] = self.j_tuple.to_lists()
         return out
 
 
@@ -153,23 +149,23 @@ class HornTable:
     ``MAX_CANDIDATES`` rows at a level, or whose count alone would take over
     ``MAX_CANDIDATES`` steps, raises ``BudgetError`` first.
     Tuples list every permutation, in lexicographic order, and skip validation
-    (their parts come from ``enumerate_subsets``).  Built levels never change.
+    (their parts come from ``enumerate_subsets``).  Built levels and slices never change.
     """
 
     def __init__(self):
         self._rows: dict[tuple[int, int, int], Rows] = {}  # full levels
         self._zero_rows: dict[tuple[int, int, int], Rows] = {}
-        self._zero: dict[tuple[int, int, int], list[PositionTuple]] = {}
+        self._zero: dict[tuple[int, int, int], tuple[PositionTuple, ...]] = {}
         self._checked: set[tuple[tuple[int, int, int], bool]] = set()  # (key, full) within budget
         self.kirwan_systems: dict[tuple[int, int], list] = {}  # filled by horncalc.kirwan
 
     def members(self, d: int, r: int, s: int) -> list[tuple[PositionTuple, int]]:
         return _tuples(d, r, _expand(self._level((d, r, s), full=True), (d, r, s)))
 
-    def zero_slice(self, d: int, r: int, s: int) -> list[PositionTuple]:
+    def zero_slice(self, d: int, r: int, s: int) -> tuple[PositionTuple, ...]:
         key = (d, r, s)
         if key not in self._zero:
-            self._zero[key] = [t for t, _ in _tuples(d, r, _expand(self._level(key), key))]
+            self._zero[key] = tuple(t for t, _ in _tuples(d, r, _expand(self._level(key), key)))
         return self._zero[key]
 
     def _level(self, key: tuple[int, int, int], full: bool = False) -> Rows:

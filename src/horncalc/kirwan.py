@@ -67,7 +67,7 @@ class IneqCertificate(NamedTuple):
         }
         if self.kind == "horn":
             out["d"] = self.d
-            out["j_tuple"] = [list(p.elements) for p in self.j_tuple.parts]
+            out["j_tuple"] = self.j_tuple.to_lists()
         return out
 
 

@@ -35,11 +35,20 @@ _set = object.__setattr__  # the one way to fill a frozen slot
 class _Frozen:
     """Immutable ``__slots__`` record: fields are the slots, set once in ``__init__``.
 
-    Subclasses write their own ``__eq__`` and ``__hash__`` over the fields
-    (equal only to the same class); repr, copy and pickle follow the slots.
+    Equality, hashing, repr, copy and pickle follow the fields: records are
+    equal only to records of the same class, and hash as the field tuple.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        # == and hash over the slots, compiled once per class (as namedtuple and
+        # dataclasses do) so that they read each slot directly
+        equal = " and ".join(f"self.{name} == other.{name}" for name in cls.__slots__)
+        fields = "".join(f"self.{name}, " for name in cls.__slots__)
+        exec(f"def __eq__(self, other): return {equal} if other.__class__ is self.__class__ else NotImplemented\n"
+             f"def __hash__(self): return hash(({fields}))", namespace := {})
+        cls.__eq__, cls.__hash__ = namespace["__eq__"], namespace["__hash__"]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -71,14 +80,6 @@ class CardSubset(_Frozen):
             prev = x
         _set(self, "ground", ground)
         _set(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.ground == other.ground and self.elements == other.elements
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ground, self.elements))
 
     @property
     def cardinality(self) -> int:
@@ -129,9 +130,7 @@ class CardSubset(_Frozen):
             raise ShapeError(
                 f"exponent needs inner ground == outer cardinality, got {other.ground} != {self.cardinality}"
             )
-        r, d = self.cardinality, other.cardinality
-        elems = tuple(self.elements[j - 1] - j + b for b, j in enumerate(other.elements, start=1))
-        return CardSubset(self.ground - (r - d), elems)
+        return self.quotient(other.complement())
 
     def shuffle_permutation(self) -> tuple[int, ...]:
         """Permutation of [n] listing the subset first, then its complement."""
@@ -163,14 +162,6 @@ class Weight(_Frozen):
 
     def __init__(self, entries: Iterable[int]):
         _set(self, "entries", tuple(int(x) for x in entries))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
 
     def __len__(self):
         return len(self.entries)
@@ -227,13 +218,11 @@ class PositionTuple(_Frozen):
                 raise ShapeError(f"all parts must share ground {n} and cardinality {r}")
         _set(self, "parts", parts)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
+    @classmethod
+    def unchecked(cls, parts: tuple[CardSubset, ...]) -> "PositionTuple":
+        """The tuple of ``parts``, known to be nonempty and of one shape: no check."""
+        _set(tup := object.__new__(cls), "parts", parts)
+        return tup
 
     @property
     def ground(self) -> int:
@@ -286,8 +275,12 @@ class PositionTuple(_Frozen):
     def sort_key(self):
         return tuple(p.elements for p in self.parts)
 
+    def to_lists(self) -> list[list[int]]:
+        """The parts as lists of elements: the inverse of ``from_lists``."""
+        return [list(p.elements) for p in self.parts]
+
     def to_json(self) -> dict:
-        return {"n": self.ground, "parts": [list(p.elements) for p in self.parts]}
+        return {"n": self.ground, "parts": self.to_lists()}
 
     @classmethod
     def from_lists(cls, ground: int, lists: Iterable[Iterable[int]]) -> "PositionTuple":

@@ -313,8 +313,8 @@ def delta_determinant(tup: PositionTuple, g_vec: Sequence[Mat], h_vec: Sequence[
         raise ShapeError("all matrices must share one field")
     check_delta_budget(tup, fld)
     g_invs = [inverse(g) for g in g_vec]  # raises DomainError when singular
-    for h in h_vec:
-        inverse(h)
+    if any(rank(h) < q for h in h_vec):
+        raise DomainError("matrix is singular")
 
     n_rows = tup.s * hom_dim
     # zeta block: identity into every target copy of Hom

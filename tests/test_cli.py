@@ -139,12 +139,32 @@ def test_malformed_json_arguments_exit_2(capsys, tmp_path):
                     "[" + inner + ',"a"]', "[" * depth + '"1/0"' + "]" * depth, "[" * depth + "1e400" + "]" * depth]:
             assert main(prefix + [bad]) == 2, prefix + [bad]
             assert "Traceback" not in capsys.readouterr().err
+    # JSON that the parser refuses outside JSONDecodeError: an integer over
+    # Python's 4,300-digit limit (ValueError), nesting past the recursion limit;
+    # and entries whose numerator or denominator no answer could print
+    digits, deep = "1" * 4401, "[" * 50000 + "]" * 50000
+    for argv, message in [
+        (["horn", "check", "--n", "4", "--tuple", f"[[{digits},4],[2,4]]"], "malformed JSON in --tuple"),
+        (["horn", "check", "--n", "4", "--tuple", deep], "malformed JSON in --tuple"),
+        (["kirwan", "check", "--xi", f"[[{digits},0],[0,0]]"], "malformed JSON in --xi"),
+        (["kirwan", "check", "--xi", '[["1e5000",0],[0,0]]'], 'bad --xi: entry "1e5000": Exceeds the limit'),
+        (["kirwan", "check", "--xi", '[["1e-5000",0],[0,0]]'], 'bad --xi: entry "1e-5000": Exceeds the limit'),
+    ]:
+        assert main(argv) == 2, argv[:3]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err, err[:200]
     matrix = tmp_path / "m.json"
     for bad in [{"field": "rational"}, {"field": {"prime": [7]}, "entries": [[1]]},
                 {"field": "rational", "entries": [["1/0"]]}, {"field": "rational", "entries": [[[1]]]}]:
         matrix.write_text(json.dumps(bad))
         assert main(["pos", "compute", "--flag", str(matrix), "--subspace", str(matrix)]) == 2, bad
         assert "Traceback" not in capsys.readouterr().err
+    for entries, message in [(f"[[{'1' * 4500}]]", f"malformed JSON in {matrix}"), (deep, f"malformed JSON in {matrix}"),
+                             ('[["1e5000"]]', f'bad matrix file {matrix}: entry "1e5000"')]:
+        matrix.write_text(f'{{"field": "rational", "entries": {entries}}}')
+        assert main(["pos", "compute", "--flag", str(matrix), "--subspace", str(matrix)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and message in err, err[:200]
     # a file that is not UTF-8 (here a UTF-16 byte-order mark) is a usage error naming the file
     matrix.write_bytes(b"\xff\xfe{}")
     for argv in [["pos", "compute", "--flag", str(matrix), "--subspace", str(matrix)],

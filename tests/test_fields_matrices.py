@@ -5,7 +5,7 @@ import pytest
 
 from horncalc import rng as rngmod
 from horncalc.errors import DomainError, ShapeError
-from horncalc.fields import QQ, SQRT5, PrimeField, Sqrt5, field_from_tag, is_prime
+from horncalc.fields import QQ, SQRT5, PrimeField, RationalField, Sqrt5, Sqrt5Field, field_from_tag, is_prime
 from horncalc.flags import Flag
 from horncalc.matrices import (
     Mat,
@@ -67,11 +67,12 @@ def test_field_axioms_all_fields():
 
 
 def test_division_by_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
+    # the message names the field
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in QQ$"):
         QQ.div(QQ.one, QQ.zero)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in GF\(5\)$"):
         PrimeField(5).div(1, 0)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"^division by zero in Q\(sqrt5\)$"):
         SQRT5.div(SQRT5.one, SQRT5.zero)
 
 
@@ -106,6 +107,15 @@ class TestSqrt5:
         s5 = Sqrt5(0, 1)
         assert s5 * s5 == Sqrt5(5)
 
+    def test_compares_and_hashes_like_the_number_it_equals(self):
+        assert Sqrt5(3) == 3 == Sqrt5(3) and Sqrt5(Fraction(1, 2)) == Fraction(1, 2) == Sqrt5(Fraction(1, 2))
+        assert Sqrt5(3, 1) != 3 and Sqrt5(3) != 4 and Sqrt5(3) != Sqrt5(3, 1)
+        assert hash(Sqrt5(3)) == hash(3) and hash(Sqrt5(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert len({Sqrt5(3), 3, Fraction(3)}) == 1 and len({Sqrt5(3, 1), 3}) == 2
+        for other in (None, "x", 1.0, (1, 0)):  # not a Sqrt5, an int or a Fraction: never equal
+            assert Sqrt5(1).__eq__(other) is NotImplemented
+            assert Sqrt5(1) != other and not Sqrt5(1) == other
+
     def test_parse_format_roundtrip(self):
         for text in ("3", "-2/7", "1+2*s5", "-1/2-3/4*s5", "0+1*s5"):
             x = SQRT5.parse(text)
@@ -119,6 +129,20 @@ class TestSqrt5:
 def test_field_tags_roundtrip():
     for field in (QQ, SQRT5, PrimeField(101)):
         assert field_from_tag(field.to_json_tag()) == field
+
+
+def test_field_identity():
+    # fields are equal by kind (and modulus), hash alike when equal, and
+    # show as their repr and JSON tag
+    assert QQ == RationalField() and QQ != SQRT5 and SQRT5 != QQ
+    assert SQRT5 == Sqrt5Field() and QQ != PrimeField(7) and PrimeField(7) != QQ
+    assert PrimeField(7) == PrimeField(7) != PrimeField(5)
+    assert hash(QQ) == hash(RationalField())
+    assert hash(SQRT5) == hash(Sqrt5Field())
+    assert hash(PrimeField(7)) == hash(PrimeField(7))
+    assert len({QQ, RationalField(), SQRT5, PrimeField(7), PrimeField(7), PrimeField(5)}) == 4
+    assert [repr(f) for f in (QQ, SQRT5, PrimeField(7))] == ["QQ", "Q(sqrt5)", "GF(7)"]
+    assert [f.to_json_tag() for f in (QQ, SQRT5, PrimeField(7))] == ["rational", "sqrt5", {"prime": 7}]
 
 
 class TestRankKernel:

@@ -161,6 +161,18 @@ class TestZeroSlice:
         zs = horn0(3, 3, 2, cache)
         assert len(zs) == 1 and zs[0] == pt(3, [1, 2, 3], [1, 2, 3])
 
+    def test_cached_slice_cannot_be_mutated(self):
+        # the table keeps each slice as a tuple, and horn0 hands out a new list
+        table, tup = HornTable(), pt(4, [1, 4], [2, 3], [3, 4])
+        assert not horn_member(tup, table).member
+        zs = table.zero_slice(1, 2, 3)
+        with pytest.raises(AttributeError):
+            zs.clear()
+        with pytest.raises(TypeError):
+            zs[0] = zs[1]
+        horn0(1, 2, 3, table).clear()
+        assert len(table.zero_slice(1, 2, 3)) == 3 and not horn_member(tup, table).member
+
 
 class TestStructuralProperties:
     def test_composition_closure_and_strengthening(self, cache):
@@ -224,12 +236,12 @@ class TestCanonicalBuild:
                     assert horn_classes(d, r, s, full) == sorted(classes, key=lambda c: c[0].sort_key())
                     # slices built on their own and read off full levels agree
                     want = [t for t, e in expected if e == 0]
-                    assert zero.zero_slice(d, r, s) == full.zero_slice(d, r, s) == want
+                    assert list(zero.zero_slice(d, r, s)) == list(full.zero_slice(d, r, s)) == want
         # many equal parts: s! orderings, few distinct ones
         for d, r, s in [(1, 2, 12), (2, 3, 7)]:
             expected = reference_members(d, r, s, memo)
             assert full.members(d, r, s) == expected
-            assert zero.zero_slice(d, r, s) == [t for t, e in expected if e == 0]
+            assert list(zero.zero_slice(d, r, s)) == [t for t, e in expected if e == 0]
 
     def test_packed_scan_matches_list_scan(self):
         # every level up to these ranks: scanned, mirrored or (r, r, s); the
@@ -270,7 +282,7 @@ class TestCanonicalBuild:
         table = HornTable()
         top = CardSubset(11, tuple(range(1, 12)))
         assert horn_classes(11, 11, 3, table) == [(PositionTuple((top,) * 3), 0)]
-        assert table.zero_slice(11, 11, 5) == horn0(11, 11, 5, table) == [PositionTuple((top,) * 5)]
+        assert list(table.zero_slice(11, 11, 5)) == horn0(11, 11, 5, table) == [PositionTuple((top,) * 5)]
         table.check_budget([(12, 12, 3)], full=True)  # the slice (6, 12, 3) below is over budget
         assert built == [(11, 11, 3), (11, 11, 5)]
         with pytest.raises(BudgetError, match="steps"):  # a tuple of s parts is still budgeted

@@ -400,8 +400,9 @@ class TestDelta:
             delta_determinant(t, gs, hs)
         t0 = pt(4, [1, 4], [2, 3])
         singular = Mat.from_ints(QQ, [[1, 2], [2, 4]])
-        with pytest.raises(DomainError):
-            delta_determinant(t0, [singular, gs[1]], hs)
+        for g_vec, h_vec in [([singular, gs[1]], hs), (gs, [hs[0], singular])]:
+            with pytest.raises(DomainError, match="matrix is singular"):
+                delta_determinant(t0, g_vec, h_vec)
         with pytest.raises(ShapeError):
             delta_determinant(t0, gs, [Mat.identity(PrimeField(7), 2), hs[1]])
 

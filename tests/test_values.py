@@ -37,6 +37,12 @@ class TestEquality:
         assert hash(Weight((0, -1))) == hash(((0, -1),))
         assert hash(PositionTuple((a, a))) == hash(((a, a),))
 
+    def test_hash_values_are_pinned(self):
+        # ints and tuples hash without a per-process seed, so these values are
+        # stable across runs (64-bit CPython); sets and dicts of records rely on them
+        a, w, p = samples()
+        assert [hash(a), hash(w), hash(p)] == [442236298789593374, -6632034267479662006, 8921525106772509628]
+
     def test_any_field_difference_is_unequal(self):
         assert cs(4, 1, 3) != cs(5, 1, 3)
         assert cs(4, 1, 3) != cs(4, 1, 4)
@@ -103,6 +109,12 @@ class TestImmutable:
         assert CardSubset(ground=3, elements=(1,)) == cs(3, 1)
         assert Weight(entries=(2, 1)) == Weight((2, 1))
         assert PositionTuple(parts=(cs(3, 1),)) == PositionTuple((cs(3, 1),))
+
+    def test_unchecked_tuple_and_lists(self):
+        a, b = cs(4, 1, 3), cs(4, 2, 4)
+        p = PositionTuple.unchecked((a, b))
+        assert p == PositionTuple((a, b)) and hash(p) == hash(PositionTuple((a, b)))
+        assert p.to_lists() == [[1, 3], [2, 4]] and PositionTuple.from_lists(4, p.to_lists()) == p
 
     def test_copy_and_pickle_round_trip(self):
         for obj in samples():
