@@ -10,7 +10,9 @@ Handlers: each ``_cmd_*`` handler takes the parsed arguments and returns
 and ``verdict`` says whether the answer is true.  Handlers write nothing;
 ``main`` alone writes ``output`` to stdout and turns the verdict into exit
 0 or 1, inside the same ``try`` as the handler, so an output that JSON
-cannot encode is an internal failure like any other.
+cannot encode is an internal failure like any other, except an integer past
+the digit limit, which entries inside it can make (the LCM of their
+denominators): a usage error, refused before anything is written.
 
 All output is deterministic for a fixed argv and --seed: JSON objects are
 emitted with sorted keys and every randomized routine derives its streams
@@ -511,6 +513,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _encode(output) -> str:
+    try:
+        return json.dumps(output, sort_keys=True, allow_nan=False)
+    except ValueError:
+        try:
+            json.dumps(output)  # allows NaN, so only an integer past the digit limit fails again
+        except ValueError as exc:
+            raise DomainError(f"the answer cannot be printed: {exc}") from None
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -521,7 +534,7 @@ def main(argv=None) -> int:
     try:
         output, verdict = args.func(args)
         if not isinstance(output, str):
-            output = json.dumps(output, sort_keys=True, allow_nan=False)
+            output = _encode(output)
         sys.stdout.write(output + "\n")
         return EXIT_OK if verdict else EXIT_FALSE
     except (DomainError, ShapeError, BudgetError) as exc:

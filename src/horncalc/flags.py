@@ -21,7 +21,7 @@ row I(a) and free entries at the complement rows Ic(b) for the slots
 from __future__ import annotations
 
 from .errors import DomainError, ShapeError
-from .matrices import Mat, _eliminate, check_elim_cells, inverse, random_matrix, rank, rref, solve_exact
+from .matrices import Mat, _eliminate, check_elim_cells, inverse, random_matrix, rank, solve_exact
 from .subsets import CardSubset
 
 
@@ -81,10 +81,10 @@ class SubspaceBasis:
 
     __slots__ = ("field", "mat")
 
-    def __init__(self, field, mat: Mat, check: bool = True):
+    def __init__(self, field, mat: Mat):
         if mat.field != field:
             raise ShapeError("field mismatch between subspace and matrix")
-        if check and rank(mat) != mat.ncols:
+        if rank(mat) != mat.ncols:
             raise DomainError("subspace basis must have full column rank")
         self.field = field
         self.mat = mat
@@ -179,16 +179,6 @@ class QuotientSpace:
         full = self._basis_inv.mul(mat)
         return Mat(self.field, full.rows[self.subspace.dim:], mat.ncols)
 
-    def project_subspace(self, other: SubspaceBasis) -> SubspaceBasis:
-        """Image of a subspace in the quotient (zero columns dropped)."""
-        proj = self.project_matrix(other.mat)
-        f = self.field
-        if proj.ncols == 0:
-            return SubspaceBasis(f, Mat.zeros(f, self.dim, 0), check=False)
-        red, pivots = rref(proj.transpose())
-        cols = [red.rows[i] for i in range(len(pivots))]
-        return SubspaceBasis(f, Mat.from_columns(f, cols, self.dim), check=False)
-
 
 def induced_flag_on_quotient(flag: Flag, subspace: SubspaceBasis) -> QuotientSpace:
     pos, _ = cell_normal_basis(subspace, flag)
@@ -223,12 +213,6 @@ def sample_cell_point(subset: CardSubset, flag: Flag, rng) -> SubspaceBasis:
         col[ia - 1] = f.one
     for a, b in subset.cell_slots():
         cols[a - 1][comp[b - 1] - 1] = f.random(rng)
-    sample = SubspaceBasis(f, flag.mat.mul(Mat.from_columns(f, cols, n)), check=bool(cols))
+    sample = SubspaceBasis(f, flag.mat.mul(Mat.from_columns(f, cols, n)))
     assert position(sample, flag) == subset
     return sample
-
-
-def subspace_in_coordinates(outer: SubspaceBasis, inner: SubspaceBasis) -> SubspaceBasis:
-    """Express a nested subspace in the coordinates of the outer basis."""
-    coords = solve_exact(outer.mat, inner.mat)
-    return SubspaceBasis(outer.field, coords)

@@ -97,7 +97,7 @@ def _echelon_choices(q: int, r: int, d: int) -> Iterator[list[list[list[int]]]]:
 
 
 def _basis(field: PrimeField, r: int, rows: Sequence[Sequence[int]]) -> SubspaceBasis:
-    return SubspaceBasis(field, Mat.from_columns(field, rows, r), check=False)
+    return SubspaceBasis(field, Mat.from_columns(field, rows, r))
 
 
 def rref_subspaces(field: PrimeField, r: int, d: int) -> Iterator[SubspaceBasis]:

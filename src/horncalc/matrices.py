@@ -81,9 +81,6 @@ class Mat:
     def from_ints(cls, field, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "Mat":
         return cls(field, [[field.from_int(x) for x in r] for r in rows], ncols)
 
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.rows, self.ncols)
-
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
@@ -111,12 +108,6 @@ class Mat:
         cols = list(zip(*other.rows)) or [()] * other.ncols
         return Mat(self.field, [[dot(row, col) for col in cols] for row in self.rows], other.ncols)
 
-    def mul_vec(self, vec: Sequence) -> list:
-        if len(vec) != self.ncols:
-            raise ShapeError(f"vector length {len(vec)} != ncols {self.ncols}")
-        dot = self.field.dot
-        return [dot(row, vec) for row in self.rows]
-
     def scale(self, c) -> "Mat":
         f = self.field
         return Mat(f, [[f.mul(c, x) for x in row] for row in self.rows], self.ncols)
@@ -130,9 +121,6 @@ class Mat:
     def is_zero(self) -> bool:
         f = self.field
         return all(f.is_zero(x) for row in self.rows for x in row)
-
-    def to_lists(self) -> list[list]:
-        return [list(r) for r in self.rows]
 
     def format_entries(self) -> list[list]:
         fmt = self.field.format
@@ -252,17 +240,3 @@ def solve_exact(a: Mat, b: Mat) -> Mat:
 
 def random_matrix(field, nrows: int, ncols: int, rng) -> Mat:
     return Mat(field, [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)], ncols)
-
-
-def random_upper_triangular(field, n: int, rng) -> Mat:
-    """Random invertible upper-triangular matrix (nonzero diagonal)."""
-    m = Mat.zeros(field, n, n)
-    for i in range(n):
-        while True:
-            d = field.random(rng)
-            if not field.is_zero(d):
-                break
-        m.rows[i][i] = d
-        for j in range(i + 1, n):
-            m.rows[i][j] = field.random(rng)
-    return m

@@ -184,9 +184,6 @@ class Weight(_Frozen):
     def shift(self, c: int) -> "Weight":
         return Weight(tuple(x + c for x in self.entries))
 
-    def negate(self) -> "Weight":
-        return Weight(tuple(-x for x in self.entries))
-
     def to_json(self) -> list:
         return list(self.entries)
 

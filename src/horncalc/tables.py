@@ -108,9 +108,6 @@ APPENDIX_B: dict[int, list[tuple[int, tuple[tuple[int, ...], ...]]]] = {
     ],
 }
 
-# Closure sizes per r, frozen as an independent pre-computed count.
-APPENDIX_B_CLOSURE_SIZES = {2: 3, 3: 12, 4: 41}
-
 
 def appendix_a_tuple(d: int, r: int) -> list[tuple[PositionTuple, int]]:
     return [

@@ -99,11 +99,6 @@ def h_constraint_rows(subset: CardSubset, f_flag: Flag, g_flag: Flag) -> list[li
     return rows
 
 
-def mat_to_vec(phi: Mat) -> list:
-    q, r = phi.nrows, phi.ncols
-    return [phi.rows[b][a] for a in range(r) for b in range(q)]
-
-
 def _slot_images(fld, h: Mat, g_inv: Mat, slots) -> list[list]:
     """vec(h E_{b,a} g^{-1}) for each 1-based slot (a, b): column b of h times row a of g^{-1}.
 
@@ -262,19 +257,6 @@ def certify_intersecting(tup: PositionTuple, field, samples: int, rng) -> Inters
         }
         return IntersectVerdict("intersecting_certified", e, best, samples, tag, best, witness)
     return IntersectVerdict("not_intersecting_mc", e, best, samples, tag, best)
-
-
-def hom_conjugation_matrix(g: Mat, hmat: Mat) -> Mat:
-    """Matrix of phi |-> h phi g^{-1} on Hom in the elementary basis.
-
-    Basis order (a, b): index of E_{b,a} is a*q + b with q target rows.
-    Its determinant is det(g)^{-q} det(h)^{r}.
-    """
-    r, q = g.nrows, hmat.nrows
-    if hmat.ncols != q or hmat.field != g.field:
-        raise ShapeError(f"target matrix must be square over the source's field, got {hmat.shape()}")
-    slots = [(a, b) for a in range(1, r + 1) for b in range(1, q + 1)]
-    return Mat.from_columns(g.field, _slot_images(g.field, hmat, inverse(g), slots), r * q)
 
 
 def check_delta_budget(tup: PositionTuple, field) -> None:

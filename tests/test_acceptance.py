@@ -17,11 +17,10 @@ from horncalc.flags import Flag, position
 from horncalc.hn import hn_minimizer_exhaustive
 from horncalc.horn import horn_classes, horn_member
 from horncalc.kirwan import kirwan_inequality_set, lr_nonvanishing
-from horncalc.matrices import Mat, random_upper_triangular, rank
+from horncalc.matrices import Mat, rank
 from horncalc.subsets import CardSubset, PositionTuple, Weight, enumerate_subsets
 from horncalc.tables import (
     APPENDIX_A_KEYS,
-    APPENDIX_B_CLOSURE_SIZES,
     appendix_a_tuple,
     appendix_b_closure,
     two_point_flags,
@@ -32,11 +31,11 @@ from horncalc.tangent import (
     certify_intersecting,
     delta_determinant,
     h_intersection_dim,
-    mat_to_vec,
     phi_in_h_space,
     tdim_estimate,
 )
 from horncalc.variational import variational_check
+from helpers import APPENDIX_B_CLOSURE_SIZES, mat_to_vec, random_upper_triangular
 
 GFP = PrimeField(DEFAULT_PRIME)
 

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import pytest
 import horncalc
 from horncalc import cli
 from horncalc.cli import main
-from horncalc.tables import APPENDIX_B_CLOSURE_SIZES
+from helpers import APPENDIX_B_CLOSURE_SIZES
 
 
 def run(capsys, *argv):
@@ -267,6 +269,15 @@ def test_unencodable_output_exits_3(capsys, monkeypatch):
     assert main(["kirwan", "check", "--xi", "[[1,0],[0,-1],[0,0]]"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "ValueError" in captured.err
+
+
+def test_answer_over_the_digit_limit_exits_2(capsys):
+    # each entry prints, but the LCM of the denominators, and with it the trace
+    # certificate's lhs, has about 8,000 digits: refused before stdout is written
+    xi = f'[["1/{"1" * 4000}",0],[0,"-1/{"1" * 3999}3"]]'
+    assert main(["kirwan", "check", "--xi", xi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: the answer cannot be printed: Exceeds the limit")
 
 
 # the refusal each of these edges names on stderr
@@ -664,6 +675,47 @@ def test_lazy_namespace():
         horncalc.no_such_name
     with pytest.raises(ImportError):
         from horncalc import no_such_name  # noqa: F401
+
+
+def test_readme_library_section():
+    # the snippet runs and gives its commented results, and every name the
+    # section lists resolves, so no change drops a documented name unnoticed
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Library\n", 1)[1].split("\n### ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = code.splitlines()
+    ns, results = {}, {}
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README", "eval"), ns)
+            results[ast.unparse(stmt.value)] = (lines[stmt.lineno - 1].partition("# ")[2], value)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), ns)
+    hc = ns["hc"]
+    assert {expr: comment for expr, (comment, _) in results.items()} == {
+        "hc.horn_member(t, cache).member": "True, edim 1",
+        "hc.is_intersecting_exact(t, cache)": "same verdict, named for its meaning",
+        "hc.certify_intersecting(t, field, 3, rng)": "IntersectVerdict with witness flags",
+        "hc.position(s, flag)": "CardSubset(4, (1, 3, 4))",
+    }
+    assert results["hc.horn_member(t, cache).member"][1] is True
+    assert hc.horn_member(ns["t"], ns["cache"]).edim == 1
+    assert results["hc.is_intersecting_exact(t, cache)"][1] is True
+    verdict = results["hc.certify_intersecting(t, field, 3, rng)"][1]
+    assert isinstance(verdict, hc.IntersectVerdict) and verdict.intersecting and verdict.witness
+    assert results["hc.position(s, flag)"][1] == hc.CardSubset(4, (1, 3, 4))
+
+    names = re.findall(r"`([^`]+)`", section.split("Key operations per area:", 1)[1].split("\n\n", 2)[1])
+    assert len(names) > 50
+    owner = None
+    for name in names:
+        head, _, attr = name.partition(".")
+        if hasattr(horncalc, head):
+            owner = getattr(horncalc, head)
+            assert not attr or getattr(owner, attr), name
+        else:  # `CardSubset.compose` / `quotient` / `exponent`: a method of the name before
+            assert getattr(owner, name), name
 
 
 # ---------------------------------------------------------------- fuzz

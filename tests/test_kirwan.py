@@ -13,7 +13,8 @@ from horncalc.kirwan import (
     tuple_from_weights,
 )
 from horncalc.subsets import PositionTuple, Weight
-from horncalc.tables import APPENDIX_B_CLOSURE_SIZES, appendix_b_closure
+from horncalc.tables import appendix_b_closure
+from helpers import APPENDIX_B_CLOSURE_SIZES
 
 
 def pt(n, *parts):

@@ -17,6 +17,7 @@ from horncalc.kirwan import tuple_from_weights
 from horncalc.matrices import Mat, det, solve_exact
 from horncalc.subsets import CardSubset, PositionTuple, Weight, slope
 from horncalc.tangent import borel_character, delta_determinant, h_intersection_dim, h_space_basis
+from helpers import mul_vec
 
 GF7 = PrimeField(7)
 
@@ -60,7 +61,7 @@ CASES = [
     ("Mat ncols", ShapeError, "ncols=3 but rows have length 2", lambda: Mat(QQ, [[1, 2]], 3)),
     ("Mat.from_columns empty", ShapeError, "empty column list needs an explicit row count",
      lambda: Mat.from_columns(QQ, [])),
-    ("Mat.mul_vec length", ShapeError, "vector length 1 != ncols 2", lambda: eye(QQ, 2).mul_vec([1])),
+    ("Mat.mul_vec length", ShapeError, "vector length 1 != ncols 2", lambda: mul_vec(eye(QQ, 2), [1])),
     ("Mat.add shapes", ShapeError, "matrix addition needs identical shapes", lambda: eye(QQ, 2).add(eye(QQ, 3))),
     ("det nonsquare", ShapeError, "determinant of a nonsquare matrix", lambda: det(Mat(QQ, [[1, 0]]))),
     ("solve_exact rows", ShapeError, "row counts differ", lambda: solve_exact(eye(QQ, 2), Mat.zeros(QQ, 3, 1))),

@@ -222,7 +222,7 @@ class TestSlope:
     def test_edim_difference_identity(self):
         t = PositionTuple.from_lists(4, [[1, 4], [2, 3]])
         j = PositionTuple.from_lists(2, [[1], [2]])
-        thetas = [w.negate() for w in weights_of_tuple(t)]
+        thetas = [Weight(-x for x in w) for w in weights_of_tuple(t)]
         expected = Fraction(t.compose(j).edim() - j.edim(), j.cardinality)
         assert slope(j, thetas) == expected == -1
 
@@ -237,7 +237,7 @@ class TestSlope:
             s = rng.randrange(1, 4)
             t = _random_tuple(rng, n, r, s)
             j = _random_tuple(rng, r, d, s)
-            thetas = [w.negate() for w in weights_of_tuple(t)]
+            thetas = [Weight(-x for x in w) for w in weights_of_tuple(t)]
             assert slope(j, thetas) == Fraction(t.compose(j).edim() - j.edim(), d)
 
     def test_permutation_invariance(self):

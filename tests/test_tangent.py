@@ -16,7 +16,6 @@ from horncalc.matrices import (
     inverse,
     kernel_basis,
     random_matrix,
-    random_upper_triangular,
     rank,
 )
 from horncalc.subsets import CardSubset, PositionTuple, Weight, enumerate_subsets
@@ -28,11 +27,10 @@ from horncalc.tangent import (
     h_constraint_rows,
     h_intersection_dim,
     h_space_basis,
-    hom_conjugation_matrix,
-    mat_to_vec,
     phi_in_h_space,
     tdim_estimate,
 )
+from helpers import hom_conjugation_matrix, mat_to_vec, mul_vec, random_upper_triangular
 
 GFP = PrimeField(DEFAULT_PRIME)
 FIELDS = [PrimeField(2), PrimeField(7), GFP, QQ, SQRT5]
@@ -105,7 +103,7 @@ class TestChartAgainstConstraintRows:
             basis = h_space_basis(subset, f, g).basis
             assert len(basis) == subset.dim()
             vecs = [mat_to_vec(phi) for phi in basis]
-            assert all(field.is_zero(x) for v in vecs for x in rows.mul_vec(v))
+            assert all(field.is_zero(x) for v in vecs for x in mul_vec(rows, v))
             assert rank(Mat(field, vecs, r * q)) == subset.dim()
             assert rank(rows) == r * q - subset.dim()
 
@@ -200,7 +198,7 @@ class TestIntersectionDim:
             joint = Mat(field, [row for k in range(s) for row in h_constraint_rows(t.parts[k], fs[k], gs[k])], r * (n - r))
             basis = kernel_basis(joint)
             assert h_intersection_dim(t, fs, gs) == len(basis)
-            assert all(field.is_zero(x) for vec in basis for x in joint.mul_vec(vec))
+            assert all(field.is_zero(x) for vec in basis for x in mul_vec(joint, vec))
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_reduced_space_matches_stacked_rank(self, field):
