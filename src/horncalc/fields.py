@@ -63,6 +63,8 @@ class _OperatorField:
     ``add``, ``sub``, ``mul`` and ``is_zero``.
     """
 
+    residue_field = None
+
     def div(self, a, b):
         if self.is_zero(b):
             raise ZeroDivisionError(f"division by zero in {self!r}")
@@ -94,44 +96,9 @@ class _OperatorField:
         return self.symbol
 
 
-class RationalField(_OperatorField):
-    name = tag = "rational"
-    symbol = "QQ"
-    # an elimination cell, in GF(p) cells (``matrices.check_elim_cells``)
-    cell_cost = 64
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def from_int(self, k):
-        return Fraction(k)
-
-    def random(self, rng):
-        return Fraction(rng.randrange(-99, 100))
-
-    def format(self, a) -> str:
-        return str(a)
-
-    def parse(self, s):
-        if isinstance(s, (int, Fraction)):
-            return Fraction(s)
-        return Fraction(str(s))
-
-
 class PrimeField:
     cell_cost = 1
+    residue_field = None
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -197,6 +164,52 @@ class PrimeField:
 
     def __repr__(self):
         return self.name
+
+
+class RationalField(_OperatorField):
+    name = tag = "rational"
+    symbol = "QQ"
+    # an elimination cell, in GF(p) cells (``matrices.check_elim_cells``)
+    cell_cost = 64
+    # where ``matrices.rank`` tries a full rank first
+    residue_field = PrimeField(DEFAULT_PRIME)
+
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return a == 0
+
+    def from_int(self, k):
+        return Fraction(k)
+
+    def random(self, rng):
+        return Fraction(rng.randrange(-99, 100))
+
+    def format(self, a) -> str:
+        return str(a)
+
+    def parse(self, s):
+        if isinstance(s, (int, Fraction)):
+            return Fraction(s)
+        return Fraction(str(s))
+
+    def residues(self, rows):
+        """The rows' image in ``residue_field``, or None if its prime divides a denominator."""
+        p = self.residue_field.p
+        try:
+            return [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows]
+        except ValueError:  # a denominator not invertible mod p
+            return None
 
 
 class Sqrt5:

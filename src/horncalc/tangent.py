@@ -44,7 +44,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError
 from .flags import Flag
-from .matrices import Mat, check_elim_cells, det, inverse, rank
+from .matrices import Mat, check_elim_cells, det, inverse, rank, solve_exact
 from .subsets import CardSubset, PositionTuple, Weight
 
 
@@ -133,7 +133,9 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
     Parametrises the part k0 with the fewest free slots by psi at standard
     flags, phi = G0 psi F0^{-1}, and imposes only the other parts: row (i, a)
     of part k on slot (a', b) is A_k[i][b] B_k[a'][a], with A_k = G_k^{-1} G0
-    and B_k = F0^{-1} F_k.  The result is len(slots) - rank of those rows.
+    and B_k = F0^{-1} F_k.  Neither inverse is formed: each A_k is solved
+    from G_k A_k = G0, and every B_k from one solve F0 [B_k ...] = [F_k ...].
+    The result is len(slots) - rank of those rows.
     """
     if len(f_flags) != tup.s or len(g_flags) != tup.s:
         raise ShapeError(f"need {tup.s} flag pairs, got {len(f_flags)}, {len(g_flags)}")
@@ -144,14 +146,19 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
             raise ShapeError("all flags must share one field")
     k0 = _reduced_part(tup)
     slots = [(a - 1, b - 1) for a, b in tup.parts[k0].cell_slots()]
-    f0_inv, g0, mul = f_flags[k0].inv(), g_flags[k0].mat, fld.mul
+    if not slots:
+        return 0
+    others = [k for k in range(tup.s) if k != k0]
+    r, g0, mul = tup.cardinality, g_flags[k0].mat, fld.mul
+    # every B_k from one solve: for k = others[j] it is columns j r .. j r + r - 1
+    f_rest = Mat(fld, [[x for k in others for x in f_flags[k].mat.rows[i]] for i in range(r)], r * len(others))
+    b_all = solve_exact(f_flags[k0].mat, f_rest).rows
     rows = []
-    for k, (subset, ff, gg) in enumerate(zip(tup.parts, f_flags, g_flags)):
-        if k == k0 or not slots:
-            continue
-        a_k, b_k = gg.inv().mul(g0).rows, f0_inv.mul(ff.mat).rows
-        for a, ia in enumerate(subset.elements):
-            rows.extend([mul(a_k[i][b], b_k[ap][a]) for ap, b in slots] for i in range(ia - a - 1, g0.nrows))
+    for j, k in enumerate(others):
+        a_k = solve_exact(g_flags[k].mat, g0).rows
+        for a, ia in enumerate(tup.parts[k].elements):
+            col = j * r + a
+            rows.extend([mul(a_k[i][b], b_all[ap][col]) for ap, b in slots] for i in range(ia - a - 1, g0.nrows))
     return len(slots) - rank(Mat(fld, rows, len(slots)))
 
 
@@ -164,8 +171,8 @@ def _sample_cells(tup: PositionTuple) -> tuple[int, int, int]:
     """(rows, cols, cells) of one sample.
 
     The reduced matrix has sum_{k != k0} codim I_k rows and dim I_k0
-    columns, eliminated in rows x cols x min(rows, cols) cells; drawing,
-    inverting and multiplying the 2s flags adds s (r^3 + q^3), so that no
+    columns, eliminated in rows x cols x min(rows, cols) cells; drawing the
+    2s flags and solving against them adds s (r^3 + q^3), so that no
     sample is free even when the reduced matrix is empty.
     """
     r, q = tup.cardinality, tup.ground - tup.cardinality

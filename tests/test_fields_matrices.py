@@ -5,10 +5,21 @@ import pytest
 
 from horncalc import rng as rngmod
 from horncalc.errors import DomainError, ShapeError
-from horncalc.fields import QQ, SQRT5, PrimeField, RationalField, Sqrt5, Sqrt5Field, field_from_tag, is_prime
+from horncalc.fields import (
+    DEFAULT_PRIME,
+    QQ,
+    SQRT5,
+    PrimeField,
+    RationalField,
+    Sqrt5,
+    Sqrt5Field,
+    field_from_tag,
+    is_prime,
+)
 from horncalc.flags import Flag
 from horncalc.matrices import (
     Mat,
+    _eliminate,
     det,
     inverse,
     kernel_basis,
@@ -232,6 +243,35 @@ def test_forward_pass_rank_and_det_match_reference_rref(field):
         assert rank(m) == len(pivots)
         if m.nrows == m.ncols and m.nrows <= 5:
             assert det(m) == _leibniz_det(field, m)
+
+
+def _rational_rank_cases(rng):
+    p = DEFAULT_PRIME
+    # singular mod p but invertible over Q: the residue rank is short
+    yield Mat.from_ints(QQ, [[p, 0], [0, 1]])
+    yield Mat.from_ints(QQ, [[1, 1], [1, 1 + p]])
+    yield Mat.from_ints(QQ, [[p, 2 * p, 0], [1, 1, 1]])
+    # p divides a denominator: no residue image at all
+    yield Mat(QQ, [[Fraction(1, p), QQ.one], [QQ.zero, QQ.one]])
+    yield Mat(QQ, [[Fraction(1, p), QQ.one], [QQ.one, Fraction(p)]])  # singular
+    # tall, wide and square with non-integer entries, every other one rank-deficient
+    # (the integer ones of _seeded_matrices are in test_forward_pass_rank_and_det_match_reference_rref)
+    for nrows, ncols in ((6, 3), (3, 6), (4, 4)):
+        for trial in range(4):
+            rows = [[Fraction(rng.randrange(-99, 100), rng.randrange(1, 10)) for _ in range(ncols)] for _ in range(nrows)]
+            if trial % 2:
+                rows[-1] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
+            yield Mat(QQ, rows, ncols)
+
+
+def test_rational_rank_matches_plain_forward_pass():
+    # rank over Q tries the image mod p first; every outcome must equal the pass over fractions
+    for m in _rational_rank_cases(rngmod.spawn(12, 1)):
+        assert rank(m) == len(_eliminate(QQ, m.rows, m.ncols, back=False)[1]), m
+    assert rank(Mat.from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])) == 2
+    assert Flag(QQ, Mat.from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])).space_dim == 2
+    with pytest.raises(DomainError):
+        Flag(QQ, Mat(QQ, [[Fraction(1, DEFAULT_PRIME), QQ.one], [QQ.one, Fraction(DEFAULT_PRIME)]]))
 
 
 def _reference_rref(f, rows, ncols):

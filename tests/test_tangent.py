@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -285,6 +287,18 @@ class TestCertify:
               for flag in v.witness["target_flags"]]
         t = pt(6, [2, 4, 6], [2, 4, 6], [2, 4, 6])
         assert h_intersection_dim(t, fs, gs) == t.edim()
+
+    def test_rng_stream_pinned(self):
+        # one stream per field through three calls: a non-member, an edim-2 member and an
+        # r = 3 member.  Flag.random redraws singular matrices, often over GF(2) and GF(3),
+        # so any change in the draws a sample consumes moves the later witnesses.
+        with open(os.path.join(os.path.dirname(__file__), "certify_stream.json")) as fh:
+            expected = json.load(fh)
+        calls = [pt(4, [1, 4], [2, 3]), pt(4, [2, 4], [2, 4]), pt(6, [2, 4, 6], [2, 4, 6], [2, 4, 6])]
+        for i, field in enumerate([PrimeField(2), PrimeField(3), QQ, SQRT5]):
+            rng = rngmod.spawn(23, i)
+            got = [certify_intersecting(t, field, 3, rng).to_json() for t in calls]
+            assert got == expected[field.name], field.name
 
     def test_agrees_with_recursion_small_grid(self, cache):
         import itertools
