@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import mul as _mul
 
 from .errors import DomainError
@@ -64,6 +65,7 @@ class _OperatorField:
     """
 
     residue_field = None
+    integer_rows = None
 
     def div(self, a, b):
         if self.is_zero(b):
@@ -99,6 +101,7 @@ class _OperatorField:
 class PrimeField:
     cell_cost = 1
     residue_field = None
+    integer_rows = None
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -170,7 +173,7 @@ class RationalField(_OperatorField):
     name = tag = "rational"
     symbol = "QQ"
     # an elimination cell, in GF(p) cells (``matrices.check_elim_cells``)
-    cell_cost = 64
+    cell_cost = 40
     # where ``matrices.rank`` tries a full rank first
     residue_field = PrimeField(DEFAULT_PRIME)
 
@@ -202,6 +205,21 @@ class RationalField(_OperatorField):
         if isinstance(s, (int, Fraction)):
             return Fraction(s)
         return Fraction(str(s))
+
+    # the fraction-free elimination of ``matrices._eliminate``: rows in, quotients out
+    def integer_rows(self, rows):
+        """Each row times the LCM of its denominators, as ints, and those LCMs."""
+        out, scales = [], []
+        for row in rows:
+            m = lcm(*[x.denominator for x in row])
+            out.append([x.numerator * (m // x.denominator) for x in row])
+            scales.append(m)
+        return out, scales
+
+    def integer_quotients(self, row, dens):
+        """The fractions y / d of the ints of ``row`` over the nonzero ints of ``dens``."""
+        zero = self.zero
+        return [Fraction(y, d) if y else zero for y, d in zip(row, dens)]
 
     def residues(self, rows):
         """The rows' image in ``residue_field``, or None if its prime divides a denominator."""

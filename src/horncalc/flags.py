@@ -105,19 +105,19 @@ class SubspaceBasis:
         return f"SubspaceBasis({self.dim} in {self.ambient_dim}, field={self.field!r})"
 
 
-def _bottom_echelon(field, mat: Mat, back: bool = True) -> tuple[list[int], list[list]]:
+def _bottom_echelon(field, mat: Mat, back: bool = True) -> tuple[list[int], list[list] | None]:
     """Column reduction with pivots at the lowest nonzero rows.
 
     Returns the sorted pivot rows (0-based) and the matching reduced columns:
     pivot entry one, zeros at every other pivot row and below the pivot.
     This is the reduced row echelon form of the columns read bottom to top;
-    without ``back`` only the pivot rows are final.
+    without ``back`` only the pivot rows are found, and the columns are None.
     """
     n = mat.nrows
     rows, pivots, _ = _eliminate(field, [c[::-1] for c in mat.columns()], n, back)
     if len(pivots) < mat.ncols:
         raise DomainError("columns are linearly dependent")
-    return [n - 1 - c for c in reversed(pivots)], [row[::-1] for row in reversed(rows)]
+    return [n - 1 - c for c in reversed(pivots)], rows and [row[::-1] for row in reversed(rows)]
 
 
 def position(subspace: SubspaceBasis, flag: Flag) -> CardSubset:

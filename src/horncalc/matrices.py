@@ -5,6 +5,10 @@ the whole artifact works at desk scale (n up to a few dozen).  One loop
 serves every field and every caller, updating rows in place; the row
 updates are the field's own ``scale_row`` and ``sub_scaled_row``, and each
 entry of a product is one field ``dot``, so GF(p) stays on machine integers.
+Over Q the same loop is fraction-free: rows scaled to integers by the
+field's ``integer_rows`` are updated by Bareiss' rule, and the field's
+``integer_quotients`` turns the integers back into fractions only at the
+end; a product over Q is likewise one integer dot per entry.
 ``rank`` and ``det`` run only its forward pass; the back pass, clearing
 above each pivot, runs for ``rref`` and the callers that read its rows.
 Over a field with a ``residue_field`` (Q, with GF(2^31 - 1)) ``rank``
@@ -13,6 +17,8 @@ first eliminates the image there and stops if that rank is full.
 
 from __future__ import annotations
 
+from math import gcd, prod
+from operator import mul as _mul
 from typing import Sequence
 
 from .errors import BudgetError, DomainError, ShapeError
@@ -27,11 +33,13 @@ MAX_ELIM_CELLS = 10**7
 def check_elim_cells(field, cells: int, what: str) -> None:
     """Raise ``BudgetError`` if ``cells`` cells over ``field`` are over ``MAX_ELIM_CELLS``.
 
-    Each cell counts ``field.cell_cost`` GF(p) cells: measured on CPython
-    over certifier samples of 4 x 10^4 to 1.3 x 10^5 cells, a cell over Q
-    costs 3-4 cells over GF(2^31 - 1) when ``rank`` is decided mod p and
-    20-40 when its pass over fractions runs, and one over Q(sqrt 5) about
-    four cells over Q.
+    Each cell counts ``field.cell_cost`` GF(p) cells.  Over Q that is the
+    worst time ratio to GF(2^31 - 1) measured on CPython at the budget's
+    edge, 2.5 x 10^5 cells: 10-21 for a certifier sample whose rank runs
+    the integer pass (r = 10-30), about 2 for one decided mod p, up to 6
+    for ``delta_determinant`` and 2.5 for ``sample_cell_point`` and
+    ``position``.  A cell over Q(sqrt 5), eliminated over fractions,
+    counts 256.
     """
     cost = field.cell_cost
     if cells * cost > MAX_ELIM_CELLS:
@@ -107,9 +115,22 @@ class Mat:
     def mul(self, other: "Mat") -> "Mat":
         if other.nrows != self.ncols or other.field != self.field:
             raise ShapeError(f"cannot multiply {self.shape()} by {other.shape()}")
-        dot = self.field.dot
+        f = self.field
         cols = list(zip(*other.rows)) or [()] * other.ncols
-        return Mat(self.field, [[dot(row, col) for col in cols] for row in self.rows], other.ncols)
+        if f.integer_rows is None:
+            dot = f.dot
+            return Mat(f, [[dot(row, col) for col in cols] for row in self.rows], other.ncols)
+        # over Q: integer dots of rows and columns scaled to integers, one fraction per entry
+        rows, row_scales = f.integer_rows(self.rows)
+        cols, col_scales = f.integer_rows(cols)
+        return Mat(
+            f,
+            [
+                f.integer_quotients([sum(map(_mul, row, col)) for col in cols], [s * t for t in col_scales])
+                for row, s in zip(rows, row_scales)
+            ],
+            other.ncols,
+        )
 
     def scale(self, c) -> "Mat":
         f = self.field
@@ -145,15 +166,37 @@ class Mat:
         return f"Mat({self.field!r}, {self.rows!r})"
 
 
-def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple[list[list], list[int], object]:
+def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple[list[list] | None, list[int], object]:
     """Gaussian elimination, the one elimination loop of the package.
 
-    Returns the echelon rows, reduced when ``back`` runs the back pass, the
-    pivot columns, and the product of the pivots as found, negated once per
-    row swap: the determinant when the matrix is square and of full rank.
-    The back pass touches only rows above each pivot, so no pivot changes.
+    Returns the rows of the reduced echelon form when ``back`` runs the back
+    pass (None without it: the forward pass alone is read for its pivots),
+    the pivot columns, and the product of the pivots as found, negated once
+    per row swap: the determinant when the matrix is square and of full
+    rank.  The back pass touches only rows above each pivot, so no pivot
+    changes.
+
+    Over a field with ``integer_rows`` (Q) the loop runs on integers
+    (Bareiss): each row is scaled by the LCM of its denominators, which
+    moves no pivot, and a pivot step replaces another row by
+    (piv row - row[c] piv_row) // prev, with prev the pivot of the step
+    before.  The division is exact, as every entry stays a minor of the
+    scaled matrix, and the last pivot is the leading minor.  The back pass
+    updates rows from column c on only, so at the end the entries from one
+    pivot column up to the next stand over that column's pivot.  The
+    forward pass alone (``rank``, ``det``) also strips each updated row of
+    its content, kept aside in ``contents``: the rows of a certifier sample
+    share factors of thousands of bits, which its minors would carry.
+    Fractions are built only for the reduced rows and the pivot product.
+    Over the other fields the pivot row is scaled to one and the field's
+    ``sub_scaled_row`` clears the others.
     """
-    rows = [list(r) for r in rows]
+    integer_rows = field.integer_rows
+    if integer_rows is None:
+        rows, lcms = [list(r) for r in rows], None
+    else:
+        rows, lcms = integer_rows(rows)
+        dens, contents, prev = [1] * ncols, [1] * len(rows), 1
     nrows = len(rows)
     is_zero, scale_row, sub_scaled_row = field.is_zero, field.scale_row, field.sub_scaled_row
     pivots = []
@@ -170,17 +213,56 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple
         if pr != k:
             rows[k], rows[pr] = rows[pr], rows[k]
             factor = field.neg(factor)
+            if lcms is not None:
+                lcms[k], lcms[pr] = lcms[pr], lcms[k]
+                contents[k], contents[pr] = contents[pr], contents[k]
         piv_row = rows[k]
         piv = piv_row[c]
-        factor = field.mul(factor, piv)
         # row k is zero left of column c, so every update starts there
-        piv_row[c:] = tail = scale_row(field.div(field.one, piv), piv_row[c:])
-        for i in range(0 if back else k + 1, nrows):
-            row = rows[i]
-            if i != k and not is_zero(row[c]):
-                row[c:] = sub_scaled_row(row[c:], row[c], tail)
+        if lcms is None:
+            factor = field.mul(factor, piv)
+            piv_row[c:] = tail = scale_row(field.div(field.one, piv), piv_row[c:])
+            for i in range(0 if back else k + 1, nrows):
+                row = rows[i]
+                if i != k and not is_zero(row[c]):
+                    row[c:] = sub_scaled_row(row[c:], row[c], tail)
+        elif back:
+            # every other row from column c on: the entries from one pivot
+            # column up to the next stay over that column's pivot
+            tail = piv_row[c:]
+            for i in range(nrows):
+                if i != k:
+                    row = rows[i]
+                    x = row[c]
+                    if x:
+                        row[c:] = [(piv * y - x * z) // prev for y, z in zip(row[c:], tail)]
+                    else:
+                        row[c:] = [piv * y // prev for y in row[c:]]
+            dens[c:] = [piv] * (ncols - c)
+            prev = piv
+        else:
+            # the rows below, kept divided by their content: Bareiss' row i is
+            # contents[i] times row i, so prev / gcd(prev, ss) divides w
+            tail = piv_row[c:]
+            sk = contents[k]
+            for i in range(k + 1, nrows):
+                row = rows[i]
+                x = row[c]
+                ss = contents[i] * sk
+                d = prev // gcd(prev, ss)
+                row[c:] = w = [(piv * y - x * z) // d for y, z in zip(row[c:], tail)]
+                g = gcd(*w)
+                if g > 1:
+                    row[c:] = [y // g for y in w]
+                contents[i] = ss * d // prev * g
+            prev = sk * piv
         pivots.append(c)
-    return rows, pivots, factor
+    if lcms is not None:
+        k = len(pivots)
+        factor = field.mul(factor, field.div(field.from_int(prev), field.from_int(prod(lcms[:k]))))
+        if back:
+            rows = [field.integer_quotients(row, dens) for row in rows[:k]] + [[field.zero] * ncols for _ in rows[k:]]
+    return (rows if back else None), pivots, factor
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

@@ -25,9 +25,11 @@ constraints are eliminated: a matrix with dim I_k0 columns instead of the
 stacked r(n-r) columns of every part, with the same kernel dimension for
 every field and every flag tuple.  The elimination budget
 (``matrices.check_elim_cells``, weighted by field) covers every sample of
-a call: each costs the reduced elimination plus drawing and multiplying
-its 2s flags.  ``delta_determinant`` is budgeted the same way
-(``check_delta_budget``).
+a call, as a non-member draws them all: each costs the reduced elimination
+plus drawing and multiplying its 2s flags.  Over Q the weight is that of a
+sample whose rank runs the integer pass, as a non-member's does; a
+member's rank is decided mod p at about twice the GF(p) cost.
+``delta_determinant`` is budgeted the same way (``check_delta_budget``).
 
 When edim is zero the tangent map
 

@@ -521,20 +521,20 @@ class TestGeometryCommands:
         assert "budget" in capsys.readouterr().err
 
     def test_rational_work_weighed_by_field(self, capsys):
-        # a cell over Q counts 64 GF(p) cells: these took 3-9 s over Q when every field's cell counted one
+        # a cell over Q counts 40 GF(p) cells: these fit the budget over GF(p), not over Q
         for argv in (
-            ["delta", "eval", "--n", "40", "--tuple", "[[],[],[]]"],
+            ["delta", "eval", "--n", "44", "--tuple", "[[],[],[]]"],
             ["cell", "sample", "--n", "120", "--subset", "[1,3]"],
         ):
             start = time.perf_counter()
             assert main(argv) == 2
             assert time.perf_counter() - start < 1
-            assert "at 64 GF(p) cells each over rational" in capsys.readouterr().err
+            assert "at 40 GF(p) cells each over rational" in capsys.readouterr().err
         # the message states the weighted total it compares with the budget
         certify = ["intersect", "certify", "--n", "16", "--tuple", json.dumps([[5, 6, 7, 8, 13, 14, 15, 16]] * 3)]
-        assert main(certify + ["--field", "rational"]) == 2
+        assert main(certify + ["--field", "rational", "--samples", "5"]) == 2
         err = capsys.readouterr().err
-        assert "156672 elimination cells at 64 GF(p) cells each over rational, 10027008 GF(p) cells in all" in err
+        assert "261120 elimination cells at 40 GF(p) cells each over rational, 10444800 GF(p) cells in all" in err
         assert main(["cell", "sample", "--n", "120", "--subset", "[1,3]", "--prime", "7"]) == 0
 
     def test_delta_eval(self, capsys):
@@ -603,6 +603,20 @@ def test_recorded_argvs_replay(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert len(expected["cli"]) == 78
     for entry in expected["cli"]:
+        code, out = run(capsys, *entry["argv"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (entry["exit"], entry["sha256"]), entry["argv"]
+
+
+def test_rational_argvs_replay(capsys, tmp_path, monkeypatch):
+    # rational certify (members and non-members), delta eval, cell sample and pos compute
+    # outside the benchmark's argvs, each pinned by exit code and stdout digest
+    with open(os.path.join(os.path.dirname(__file__), "rational_argvs.json")) as fh:
+        expected = json.load(fh)
+    for name, obj in expected["files"].items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    monkeypatch.chdir(tmp_path)
+    assert len(expected["argvs"]) == 14
+    for entry in expected["argvs"]:
         code, out = run(capsys, *entry["argv"])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (entry["exit"], entry["sha256"]), entry["argv"]
 

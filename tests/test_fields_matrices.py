@@ -19,7 +19,6 @@ from horncalc.fields import (
 from horncalc.flags import Flag
 from horncalc.matrices import (
     Mat,
-    _eliminate,
     det,
     inverse,
     kernel_basis,
@@ -265,9 +264,9 @@ def _rational_rank_cases(rng):
 
 
 def test_rational_rank_matches_plain_forward_pass():
-    # rank over Q tries the image mod p first; every outcome must equal the pass over fractions
+    # rank over Q tries the image mod p first; every outcome must equal the scalar reference's
     for m in _rational_rank_cases(rngmod.spawn(12, 1)):
-        assert rank(m) == len(_eliminate(QQ, m.rows, m.ncols, back=False)[1]), m
+        assert rank(m) == len(_reference_rref(QQ, m.rows, m.ncols)[1]), m
     assert rank(Mat.from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])) == 2
     assert Flag(QQ, Mat.from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])).space_dim == 2
     with pytest.raises(DomainError):
@@ -304,6 +303,80 @@ def _leibniz_det(f, m):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total = f.add(total, f.neg(term) if inversions % 2 else term)
     return total
+
+
+def _integer_pass_cases(rng):
+    """Rational matrices for the fraction-free pass: zero rows and entries,
+    entries of magnitude 10^40, denominators divisible by 2^31 - 1, and tall,
+    wide, square and rank-deficient shapes."""
+    p = DEFAULT_PRIME
+
+    def entry(kind):
+        if rng.random() < 0.3:
+            return QQ.zero
+        if kind == "huge":
+            return Fraction(rng.randrange(-(10**40), 10**40), rng.randrange(1, 10**3))
+        if kind == "p":
+            return Fraction(rng.randrange(-99, 100), p * rng.randrange(1, 5))
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+
+    # pivots carrying 10^40 and 1/p; a zero row and a zero column; rank one with 1/p
+    yield Mat(QQ, [[Fraction(10**40 + 1, p), QQ.zero, Fraction(3)], [QQ.zero, QQ.zero, Fraction(-(10**40))], [Fraction(1, 7), Fraction(p, 2), QQ.one]])
+    yield Mat(QQ, [[QQ.zero] * 3, [Fraction(1, p), QQ.zero, QQ.one], [QQ.one, QQ.zero, Fraction(p + 1)]])
+    yield Mat(QQ, [[Fraction(1, p), QQ.one], [QQ.one, Fraction(p)]])
+    for nrows, ncols in ((6, 3), (3, 6), (5, 5), (4, 4), (3, 3), (1, 4), (4, 1), (0, 3), (3, 0)):
+        for trial, kind in enumerate(("small", "huge", "p", "small", "huge", "p")):
+            rows = [[entry(kind) for _ in range(ncols)] for _ in range(nrows)]
+            if trial >= 3 and nrows >= 3:  # rank deficiency: a combination of two rows, and a zero row
+                rows[-1] = [x - Fraction(3, 7) * y for x, y in zip(rows[0], rows[1])]
+                rows[1 + trial % (nrows - 2)] = [QQ.zero] * ncols
+            yield Mat(QQ, rows, ncols)
+
+
+def _reference_kernel(rows, ncols):
+    red, pivots = _reference_rref(QQ, rows, ncols)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        vec = [QQ.zero] * ncols
+        vec[j] = QQ.one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -red[i][j]
+        basis.append(vec)
+    return basis
+
+
+def test_integer_pass_matches_reference_over_q():
+    # over Q rref, rank, det, kernel_basis, inverse and solve_exact run the fraction-free
+    # pass, and a product is one integer dot per entry
+    rng = rngmod.spawn(12, 2)
+    for m in _integer_pass_cases(rng):
+        red, pivots = rref(m)
+        assert (red.rows, pivots) == _reference_rref(QQ, m.rows, m.ncols), m
+        assert all(type(x) is Fraction for row in red.rows for x in row)
+        assert rank(m) == len(pivots)
+        kernel = kernel_basis(m)
+        assert kernel == _reference_kernel(m.rows, m.ncols)
+        assert all(x == 0 for v in kernel for x in mul_vec(m, v))
+        if m.nrows == m.ncols:
+            assert det(m) == _leibniz_det(QQ, m), m
+            if len(pivots) == m.nrows:
+                ident = Mat.identity(QQ, m.nrows)
+                ref, _ = _reference_rref(QQ, m.hstack(ident).rows, 2 * m.ncols)
+                assert inverse(m).rows == [row[m.ncols:] for row in ref]
+                assert m.mul(inverse(m)) == ident
+            else:
+                with pytest.raises(DomainError):
+                    inverse(m)
+        x = Mat(QQ, [[Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(2)] for _ in range(m.ncols)], 2)
+        b = m.mul(x)
+        assert b.rows == [[sum((y * z for y, z in zip(row, col)), QQ.zero) for col in zip(*x.rows)] or [QQ.zero] * 2 for row in m.rows]
+        if len(pivots) == m.ncols:  # full column rank: A X = B has the one solution X
+            assert solve_exact(m, b) == x
+            ref, _ = _reference_rref(QQ, m.hstack(b).rows, m.ncols + 2)
+            assert solve_exact(m, b).rows == [row[m.ncols:] for row in ref[: m.ncols]]
+        elif m.nrows:
+            with pytest.raises(DomainError):
+                solve_exact(m, Mat.zeros(QQ, m.nrows, 1))
 
 
 class TestInverseDetSolve:

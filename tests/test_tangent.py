@@ -353,17 +353,17 @@ class TestSamplingBudget:
         # 25,000 samples of 40 cells fit the budget over GF(p), not over Q or Q(sqrt5)
         t = pt(4, [1, 4], [2, 3])
         check_elim_cells(GFP, 25000 * 40, "")
-        for field, cost in ((QQ, 64), (SQRT5, 256)):
+        for field, cost in ((QQ, 40), (SQRT5, 256)):
             rng = rngmod.spawn(38, 0)
             state = rng.getstate()
             total = 25000 * 40 * cost
             with pytest.raises(BudgetError, match=rf"25000 samples .* at {cost} GF\(p\) cells each over .*, {total} GF"):
                 tdim_estimate(t, field, 25000, rng)
             assert rng.getstate() == state
-        # a 0 x 0 tangent map still draws and inverts three 40 x 40 matrices
-        empty = PositionTuple.from_lists(40, [[], [], []])
+        # a 0 x 0 tangent map still draws and inverts three 44 x 44 matrices
+        empty = PositionTuple.from_lists(44, [[], [], []])
         check_delta_budget(empty, GFP)
-        with pytest.raises(BudgetError, match="192000 elimination cells at 64"):
+        with pytest.raises(BudgetError, match="255552 elimination cells at 40"):
             check_delta_budget(empty, QQ)
 
     def test_empty_reduced_matrix_is_admitted(self):
