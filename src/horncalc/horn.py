@@ -11,6 +11,8 @@ Only the edim-0 slices recurse: Z(d, r, s) needs Z(m, d, s) for 0 < m < d.
 Levels are closed under permuting the parts, so a scan visits canonical rows
 only (nondecreasing indices into the lex-ordered d-subsets of [r]), with a
 codimension budget that starts at d(r - d) and leaves each row's edim.  The
+walk is depth first with children pushed in reverse, and picks the last two
+parts together, so rows come out in lexicographic order with no sort.  The
 composition test separates by part, edim(I o J) = sum_k D[I_k][J_k] -
 (s-1) m(r-m) with D[I][J] = dim(I o J) in [0, m(r-m)].  So each part packs
 into one integer with a w-bit lane per lower tuple J, part 0 adding a bias
@@ -31,7 +33,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from math import comb, factorial
+from math import comb
 from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
@@ -58,6 +60,12 @@ def _count(codims: list[int], cell: int, s: int, full: bool) -> int:
     return sum(ways[s]) if full else ways[s][cell]
 
 
+def _codims(d: int, r: int) -> list[int]:
+    """Codimension d(r - d) - dim(I) of each d-subset I of [r], in lex order (dim(I) = sum(I) - d(d+1)/2)."""
+    top = d * (r - d) + d * (d + 1) // 2
+    return [top - sum(c) for c in itertools.combinations(range(1, r + 1), d)]
+
+
 def _multiset_permutations(row: tuple[int, ...]):
     """Distinct permutations of a nondecreasing row, in lexicographic order.
 
@@ -80,21 +88,29 @@ def _multiset_permutations(row: tuple[int, ...]):
         p[i + 1:] = p[:i:-1]
 
 
+def _check_listing(rows: Rows, key: tuple[int, int, int]):
+    """Raise ``BudgetError`` if listing every permutation of ``rows`` would pass ``MAX_LISTED_PARTS`` parts."""
+    s = key[2]
+    # A row lists at most s! tuples, so count exactly only when len(rows) s! s is
+    # over; accumulate stops forming s! there (factorial(10**6) takes seconds).
+    if any(len(rows) * s * f > MAX_LISTED_PARTS for f in itertools.accumulate(range(1, s + 1), mul)):
+        listed = 0
+        for row, _ in rows:
+            perms, placed = 1, 0  # the multinomial s! / prod c!, as a product of binomials
+            for c in Counter(row).values():
+                placed += c
+                perms *= comb(placed, c)
+            listed += perms
+        if listed * s > MAX_LISTED_PARTS:
+            raise BudgetError(f"Horn level {key} would list {listed} tuples of {s} parts, over {MAX_LISTED_PARTS} parts")
+
+
 def _expand(rows: Rows, key: tuple[int, int, int]) -> Rows:
     """Every distinct permutation of each row, in lexicographic order.
 
     Raises ``BudgetError`` before listing over ``MAX_LISTED_PARTS`` parts.
     """
-    s = key[2]
-    listed = 0
-    for row, _ in rows:
-        perms = factorial(s)
-        if len(set(row)) < s:
-            for c in Counter(row).values():
-                perms //= factorial(c)
-        listed += perms
-    if listed * s > MAX_LISTED_PARTS:
-        raise BudgetError(f"Horn level {key} would list {listed} tuples of {s} parts, over {MAX_LISTED_PARTS} parts")
+    _check_listing(rows, key)
     out = []  # distinct rows are distinct multisets: their permutations never meet
     for row, e in rows:
         out += [(p, e) for p in _multiset_permutations(row)]
@@ -147,7 +163,10 @@ class HornTable:
     with 2d > r is its mirror (r - d, r, s) mapped through J -> J*, and the
     level (r, r, s) is its one row.  A query that would scan over
     ``MAX_CANDIDATES`` rows at a level, or whose count alone would take over
-    ``MAX_CANDIDATES`` steps, raises ``BudgetError`` first.
+    ``MAX_CANDIDATES`` steps, raises ``BudgetError`` first.  The exact counts
+    run only where a cheap bound is over its budget: the candidates where
+    C(C(r, d) + s - 1, s), every canonical row, is over ``MAX_CANDIDATES``,
+    and the listed tuples where len(rows) s! s is over ``MAX_LISTED_PARTS``.
     Tuples list every permutation, in lexicographic order, and skip validation
     (their parts come from ``enumerate_subsets``).  Built levels and slices never change.
     """
@@ -192,20 +211,22 @@ class HornTable:
             steps = comb(r, d) * s * (cell + 1)  # _count's loop; it also bounds the scan's per-budget pools
             if steps > MAX_CANDIDATES:
                 raise BudgetError(f"Horn level {key} would take {steps} steps to count its candidates, over {MAX_CANDIDATES}")
-            tested = _count([p.codim() for p in enumerate_subsets(d, r)], cell, s, full)
-            if tested > MAX_CANDIDATES:
-                raise BudgetError(f"Horn level {key} would test {tested} candidates, over {MAX_CANDIDATES}")
+            if comb(comb(r, d) + s - 1, s) > MAX_CANDIDATES:  # every canonical row: only then can the count be over
+                tested = _count(_codims(d, r), cell, s, full)
+                if tested > MAX_CANDIDATES:
+                    raise BudgetError(f"Horn level {key} would test {tested} candidates, over {MAX_CANDIDATES}")
             self._checked.add((key, full))
 
     def _build(self, key: tuple[int, int, int], full: bool = False):
         """Build one level: its edim-0 rows, or all its rows if ``full``."""
         d, r, s = key
         if d < r < 2 * d:  # the image of level (r - d, r, s) under J -> J*
-            ground = range(1, r + 1)  # dual[i]: lex index of J* for J of lex index i
-            index = {c: i for i, c in enumerate(itertools.combinations(ground, d))}
-            stars = (tuple(y for y in ground if r + 1 - y not in c) for c in itertools.combinations(ground, r - d))
-            dual = [index[c] for c in stars]
-            rows = sorted((tuple(sorted(dual[i] for i in row)), e) for row, e in self._level((r - d, r, s), full=full))
+            # J -> J* takes lex order on (r - d)-subsets to colex order on
+            # d-subsets, so dual[i], the lex index of J* for J of lex index i,
+            # is the lex index of the i-th d-subset in colex order
+            subs = list(itertools.combinations(range(1, r + 1), d))
+            dual = sorted(range(len(subs)), key=lambda i: subs[i][::-1])
+            rows = sorted((tuple(sorted(map(dual.__getitem__, row))), e) for row, e in self._level((r - d, r, s), full=full))
         elif d == r:  # only ([r], ..., [r]), of edim 0, since [r] o J = J
             rows = [((0,) * s, 0)]
         else:
@@ -216,14 +237,15 @@ class HornTable:
 
     def _scan(self, d: int, r: int, s: int, full: bool) -> Rows:
         cell = d * (r - d)
-        codims = [sub.codim() for sub in enumerate_subsets(d, r)]
+        codims = _codims(d, r)
         # lanes[k][i]: subset i as part k, packed w bits a lane with one lane
         # per tuple J of the slices Z(m, d, s) below: D[i][J_k] in part k, and
         # in part 0 also half - cut with cut = (s-1) m(r-m).  Summed over a
         # row's parts, a lane holds half + edim(I o J), so the row passes
         # exactly when every lane keeps its top bit.  D lies in [0, m(r-m)],
         # so partial and full sums stay in [half - cut, half + m(r-m)]: with
-        # half >= cut and half > m(r-m) no lane borrows or carries.
+        # half >= cut and half > m(r-m) no lane borrows or carries.  Lanes
+        # may come in any order, so each J is a permutation of a canonical row.
         top = max((m * (r - m) for m in range(1, d)), default=0)
         w = max((s - 1) * top - 1, top).bit_length() + 1
         half, one, none = 1 << (w - 1), "1".zfill(w), "0" * w
@@ -233,7 +255,9 @@ class HornTable:
             inner, base = list(itertools.combinations(range(d), m)), m * (m + 1) // 2
             outer = itertools.combinations(range(1, r + 1), d)  # table[i][j] = dim(I o J), by lex index
             table = [[sum(big[j] for j in small) - base for small in inner] for big in outer]
-            tuples = [row for row, _ in _expand(self._level((m, d, s)), (m, d, s))]
+            below = self._level((m, d, s))
+            _check_listing(below, (m, d, s))
+            tuples = [p for row, _ in below for p in _multiset_permutations(row)]
             for k, (part, col) in enumerate(zip(lanes, zip(*tuples))):
                 # picks[j]: 1 in the lanes whose tuple has the subset j in this part
                 picks = [int("".join(one if c == j else none for c in reversed(col)), 2) << shift for j in range(comb(d, m))]
@@ -245,20 +269,31 @@ class HornTable:
         # fits[b]: subsets within a budget b; the last part must use it up unless full
         fits = [[i for i, c in enumerate(codims) if c <= b] for b in range(cell + 1)]
         last = fits if full else [[i for i in fits[b] if codims[i] == b] for b in range(cell + 1)]
+        if s == 1:
+            return [((i,), cell - codims[i]) for i in last[cell] if lanes[0][i] & mask == mask]
         rows: Rows = []
-        stack = [((), cell, 0)]  # depth first, s parts deep
+        # Depth first down to s - 2 parts, children pushed in reverse, so that
+        # rows come out in lexicographic order; the last two parts i <= j are
+        # picked together.
+        stack = [((), cell, 0)]
+        lane_i, lane_j = lanes[s - 2], lanes[s - 1]
         while stack:
-            row, left, acc = stack.pop()  # acc: the lanes of row's parts but the last
-            k = len(row)
-            pool = (last if k == s - 1 else fits)[left]
-            pool = pool[bisect_left(pool, row[-1] if row else 0):]
-            if pool and row:
-                acc += lanes[k - 1][row[-1]]
-            if k < s - 1:
-                stack += [(row + (i,), left - codims[i], acc) for i in pool]
+            row, left, acc = stack.pop()  # acc: the lanes of row's parts
+            pool = fits[left]
+            if row:
+                pool = pool[bisect_left(pool, row[-1]):]
+            if len(row) < s - 2:
+                lane = lanes[len(row)]
+                stack += [(row + (i,), left - codims[i], acc + lane[i]) for i in reversed(pool)]
             else:
-                rows += [(row + (i,), left - codims[i]) for i in pool if (acc + lanes[k][i]) & mask == mask]
-        return sorted(rows)
+                rows += [
+                    (row + (i, j), rest - codims[j])
+                    for i in pool
+                    for rest, acc_i in [(left - codims[i], acc + lane_i[i])]
+                    for j in last[rest][bisect_left(last[rest], i):]
+                    if (acc_i + lane_j[j]) & mask == mask
+                ]
+        return rows
 
 
 def horn_member(tup: PositionTuple, cache: HornTable) -> HornVerdict:

@@ -1,5 +1,9 @@
 import hashlib
 import itertools
+import json
+import time
+from collections import Counter
+from math import comb, factorial, prod
 
 import pytest
 
@@ -246,8 +250,9 @@ class TestCanonicalBuild:
     def test_packed_scan_matches_list_scan(self):
         # every level up to these ranks: scanned, mirrored or (r, r, s); the
         # many parts of (1, 2, 12) and (2, 3, 7) leave (2, 3, 7) a bias of
-        # 16 - 12 in 5-bit lanes, and (4, 8, 3) and (3, 6, 4) use 6-bit lanes
-        shapes = [(s, r) for s, top in [(3, 8), (1, 6), (2, 6), (4, 6)] for r in range(1, top + 1)]
+        # 16 - 12 in 5-bit lanes, and (4, 8, 3) and (3, 6, 4) use 6-bit lanes;
+        # s = 1, s = 2 and the last two parts take their own branches of the walk
+        shapes = [(s, r) for s, top in [(3, 8), (1, 6), (2, 6), (4, 6), (5, 6)] for r in range(1, top + 1)]
         shapes += [(12, 2), (7, 3)]
         for full in (True, False):
             table = HornTable()
@@ -274,6 +279,27 @@ class TestCanonicalBuild:
         table = HornTable()
         for r, digest in want.items():
             assert hashlib.sha256(repr([table._level((d, r, 3)) for d in range(1, r)]).encode()).hexdigest() == digest, r
+
+    def test_benchmark_class_digests(self):
+        # count and SHA-256 of the JSON rows of horn_classes at the benchmark's
+        # shapes, copied from perfbench/data/expected.json
+        want = {
+            (2, 5, 3): (44, "9d192d15e6df7957d5e9db0f48b8432d719a75c3e4de16974df02d80a3a44630"),
+            (1, 6, 5): (19, "c6aac1bce4565105c1ad47be0740957a744c52d5c13a45a84ea354e0942787b1"),
+            (2, 4, 5): (16, "aeecca0ef60eac1bd4af2adf8fbe69994a8b36af2ec6723d07e6e1f9b6879122"),
+            (2, 5, 4): (52, "3329d28088dbd8bbcb3bf378d502bdb7a66a81c0443bb659542e6ee59e2830bb"),
+            (2, 7, 3): (246, "2f5c9c07068b8683a979c5d667150a4329017e30ec842996612cb08ea2c73ed2"),
+            (3, 6, 3): (206, "bcc4a6cb5e333b8749d6a81a16468d9b55eedce42f47c6e18e94081583e3f0da"),
+            (3, 5, 4): (52, "14dc973c7bd9188b03d11342499b9516019f68e039a9b33efeee6f693221d2a3"),
+            (2, 8, 3): (503, "4aee848c03630aa50cd5ad4e34c496ccde8d65de38d3e4fd2384ef266e701d64"),
+            (4, 6, 3): (110, "f2ea24e6781d026d76733be2d227ab6695b92a749d6e5058d5623233b68b3ffc"),
+            (2, 6, 4): (148, "009f0e6bb78cb098830a3bf5ff09b732db1c79d78b18e781963fc643269f64eb"),
+        }
+        for shape, pinned in want.items():
+            classes = horn_classes(*shape, HornTable())
+            rows = [[[list(p.elements) for p in tup.parts], e] for tup, e in classes]
+            digest = hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+            assert (len(classes), digest) == pinned, shape
 
     def test_full_cardinality_builds_nothing_below(self, monkeypatch):
         # ([r], ..., [r]) is the one tuple of (r, r, s), with edim 0, since [r] o J = J
@@ -330,6 +356,57 @@ class TestCanonicalBuild:
         monkeypatch.setattr(horn, "MAX_CANDIDATES", 6588)
         with pytest.raises(BudgetError):
             horn_classes(4, 8, 3, HornTable())
+
+    def test_budget_shortcuts_are_exact(self, monkeypatch):
+        # Listing counts permutations only when len(rows) s! s is over the
+        # budget, and check_budget counts candidates only when C(C(r, d) + s - 1, s),
+        # every canonical row, is.  Both refuse exactly when the exact counts do.
+        table = HornTable()
+        levels = [(d, r, s) for s in range(1, 5) for r in range(1, 7) for d in range(1, r + 1)]
+        built = [(key, table._level(key, full)) for key in levels + [(1, 2, 12), (2, 3, 7)] for full in (True, False)]
+        for key, rows in built:
+            listed = sum(factorial(len(row)) // prod(map(factorial, Counter(row).values())) for row, _ in rows)
+            monkeypatch.setattr(horn, "MAX_LISTED_PARTS", listed * key[2])
+            assert len(horn._expand(rows, key)) == listed
+            monkeypatch.setattr(horn, "MAX_LISTED_PARTS", listed * key[2] - 1)
+            with pytest.raises(BudgetError, match=f"would list {listed} tuples"):
+                horn._expand(rows, key)
+        monkeypatch.undo()
+        # one row of 10**6 equal parts is counted without forming 10**6! (seconds alone)
+        start = time.perf_counter()
+        assert len(horn0(3, 3, 10**6, table)[0].parts) == 10**6
+        assert time.perf_counter() - start < 5
+        # a scan lists the slices below under the same budget before packing them
+        with pytest.raises(BudgetError, match=r"\(1, 2, 2000\) would list 2000 tuples of 2000 parts"):
+            horn0(2, 4, 2000, table)
+        assert (2, 4, 2000) not in table._zero_rows
+
+        counts = {}
+
+        def count(key, full):
+            d, r, s = key
+            if (key, full) not in counts:
+                counts[key, full] = horn._count([p.codim() for p in enumerate_subsets(d, r)], d * (r - d), s, full)
+            return counts[key, full]
+
+        def over(key, full, cap):  # every level the check visits, counted in full
+            d, r, s = key
+            if d < r < 2 * d:
+                return over((r - d, r, s), full, cap)
+            if d < r and any(over((m, d, s), False, cap) for m in range(1, d)):
+                return True
+            return comb(r, d) * s * (d * (r - d) + 1) > cap or count(key, full) > cap
+
+        keys = [(d, r, s) for r in range(1, 13) for d in range(1, r + 1) for s in range(1, 5)]
+        for key, full in itertools.product(keys, (True, False)):
+            for cap in (count(key, full) - 1, count(key, full)):
+                monkeypatch.setattr(horn, "MAX_CANDIDATES", cap)
+                try:
+                    HornTable().check_budget([key], full)
+                    refused = False
+                except BudgetError:
+                    refused = True
+                assert refused == over(key, full, cap), (key, full, cap)
 
     def test_default_budget(self):
         # 4,654,987 candidates; refused before any level is scanned
