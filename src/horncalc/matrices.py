@@ -6,7 +6,8 @@ serves every field and every caller, updating rows in place; the row
 updates are the field's own ``scale_row`` and ``sub_scaled_row``, and each
 entry of a product is one field ``dot``, so GF(p) stays on machine integers.
 Over Q the same loop is fraction-free: rows scaled to integers by the
-field's ``integer_rows`` are updated by Bareiss' rule, and the field's
+field's ``integer_rows`` are updated by one rule in both passes, Bareiss'
+step on rows kept divided by their content, and the field's
 ``integer_quotients`` turns the integers back into fractions only at the
 end; a product over Q is likewise one integer dot per entry.
 ``rank`` and ``det`` run only its forward pass; the back pass, clearing
@@ -88,10 +89,6 @@ class Mat:
             raise ShapeError("empty column list needs an explicit row count")
         return cls(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
 
-    @classmethod
-    def from_ints(cls, field, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "Mat":
-        return cls(field, [[field.from_int(x) for x in r] for r in rows], ncols)
-
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
@@ -103,9 +100,6 @@ class Mat:
 
     def take_columns(self, idx: Sequence[int]) -> "Mat":
         return Mat(self.field, [[r[j] for j in idx] for r in self.rows], len(idx))
-
-    def transpose(self) -> "Mat":
-        return Mat(self.field, [self.col(j) for j in range(self.ncols)], self.nrows)
 
     def hstack(self, other: "Mat") -> "Mat":
         if other.nrows != self.nrows or other.field != self.field:
@@ -131,20 +125,6 @@ class Mat:
             ],
             other.ncols,
         )
-
-    def scale(self, c) -> "Mat":
-        f = self.field
-        return Mat(f, [[f.mul(c, x) for x in row] for row in self.rows], self.ncols)
-
-    def add(self, other: "Mat") -> "Mat":
-        if other.shape() != self.shape() or other.field != self.field:
-            raise ShapeError("matrix addition needs identical shapes")
-        f = self.field
-        return Mat(f, [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.rows for x in row)
 
     def format_entries(self) -> list[list]:
         fmt = self.field.format
@@ -173,21 +153,21 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple
     pass (None without it: the forward pass alone is read for its pivots),
     the pivot columns, and the product of the pivots as found, negated once
     per row swap: the determinant when the matrix is square and of full
-    rank.  The back pass touches only rows above each pivot, so no pivot
-    changes.
+    rank.  A pivot step clears its column in the rows below it and, with
+    ``back``, in the rows above it too; the rows above change no pivot.
 
     Over a field with ``integer_rows`` (Q) the loop runs on integers
     (Bareiss): each row is scaled by the LCM of its denominators, which
-    moves no pivot, and a pivot step replaces another row by
-    (piv row - row[c] piv_row) // prev, with prev the pivot of the step
-    before.  The division is exact, as every entry stays a minor of the
-    scaled matrix, and the last pivot is the leading minor.  The back pass
-    updates rows from column c on only, so at the end the entries from one
-    pivot column up to the next stand over that column's pivot.  The
-    forward pass alone (``rank``, ``det``) also strips each updated row of
-    its content, kept aside in ``contents``: the rows of a certifier sample
-    share factors of thousands of bits, which its minors would carry.
-    Fractions are built only for the reduced rows and the pivot product.
+    moves no pivot, and every updated row is kept divided by its content,
+    kept aside in ``contents``: the rows of a certifier sample share
+    factors of thousands of bits, which its minors would carry.  Bareiss'
+    row i is contents[i] times row i, so a pivot step replaces it by
+    w = (piv row - row[c] piv_row) // (prev / gcd(prev, contents[i] contents[k])),
+    with prev Bareiss' pivot of the step before, and divides w by its
+    content; the last pivot is the leading minor.  A row above the pivot is
+    updated whole (from its own pivot column, as it is zero to the left), so
+    each row ends proportional to its reduced row, and fractions are built
+    only from those rows over their pivot entries and for the pivot product.
     Over the other fields the pivot row is scaled to one and the field's
     ``sub_scaled_row`` clears the others.
     """
@@ -196,7 +176,7 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple
         rows, lcms = [list(r) for r in rows], None
     else:
         rows, lcms = integer_rows(rows)
-        dens, contents, prev = [1] * ncols, [1] * len(rows), 1
+        contents, prev = [1] * len(rows), 1
     nrows = len(rows)
     is_zero, scale_row, sub_scaled_row = field.is_zero, field.scale_row, field.sub_scaled_row
     pivots = []
@@ -218,50 +198,41 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple
                 contents[k], contents[pr] = contents[pr], contents[k]
         piv_row = rows[k]
         piv = piv_row[c]
-        # row k is zero left of column c, so every update starts there
         if lcms is None:
             factor = field.mul(factor, piv)
+            # row k is zero left of column c, so every update starts there
             piv_row[c:] = tail = scale_row(field.div(field.one, piv), piv_row[c:])
-            for i in range(0 if back else k + 1, nrows):
-                row = rows[i]
-                if i != k and not is_zero(row[c]):
-                    row[c:] = sub_scaled_row(row[c:], row[c], tail)
-        elif back:
-            # every other row from column c on: the entries from one pivot
-            # column up to the next stay over that column's pivot
-            tail = piv_row[c:]
-            for i in range(nrows):
-                if i != k:
-                    row = rows[i]
-                    x = row[c]
-                    if x:
-                        row[c:] = [(piv * y - x * z) // prev for y, z in zip(row[c:], tail)]
-                    else:
-                        row[c:] = [piv * y // prev for y in row[c:]]
-            dens[c:] = [piv] * (ncols - c)
-            prev = piv
         else:
-            # the rows below, kept divided by their content: Bareiss' row i is
-            # contents[i] times row i, so prev / gcd(prev, ss) divides w
-            tail = piv_row[c:]
             sk = contents[k]
-            for i in range(k + 1, nrows):
-                row = rows[i]
-                x = row[c]
+        for i in range(0 if back else k + 1, nrows):
+            if i == k:
+                continue
+            row = rows[i]
+            x = row[c]
+            if lcms is None:
+                if not is_zero(x):
+                    row[c:] = sub_scaled_row(row[c:], x, tail)
+            else:
+                # a row above is zero left of its own pivot, a row below left of column c
+                j = c if i > k else pivots[i]
                 ss = contents[i] * sk
                 d = prev // gcd(prev, ss)
-                row[c:] = w = [(piv * y - x * z) // d for y, z in zip(row[c:], tail)]
+                if x:
+                    w = [(piv * y - x * z) // d for y, z in zip(row[j:], piv_row[j:])]
+                else:
+                    w = [piv * y // d for y in row[j:]]
                 g = gcd(*w)
-                if g > 1:
-                    row[c:] = [y // g for y in w]
+                row[j:] = [y // g for y in w] if g > 1 else w
                 contents[i] = ss * d // prev * g
+        if lcms is not None:
             prev = sk * piv
         pivots.append(c)
     if lcms is not None:
         k = len(pivots)
         factor = field.mul(factor, field.div(field.from_int(prev), field.from_int(prod(lcms[:k]))))
         if back:
-            rows = [field.integer_quotients(row, dens) for row in rows[:k]] + [[field.zero] * ncols for _ in rows[k:]]
+            rows = [field.integer_quotients(row, [row[c]] * ncols) for row, c in zip(rows, pivots)]
+            rows += [[field.zero] * ncols for _ in range(k, nrows)]
     return (rows if back else None), pivots, factor
 
 

@@ -26,6 +26,33 @@ def random_upper_triangular(field, n: int, rng) -> Mat:
     return m
 
 
+def from_ints(field, rows, ncols: int | None = None) -> Mat:
+    """The matrix over ``field`` with the given integer entries."""
+    return Mat(field, [[field.from_int(x) for x in r] for r in rows], ncols)
+
+
+def transpose(m: Mat) -> Mat:
+    return Mat(m.field, m.columns(), m.nrows)
+
+
+def scale(m: Mat, c) -> Mat:
+    """``c`` times ``m``."""
+    f = m.field
+    return Mat(f, [[f.mul(c, x) for x in row] for row in m.rows], m.ncols)
+
+
+def mat_add(a: Mat, b: Mat) -> Mat:
+    """The entrywise sum of two matrices of one shape over one field."""
+    if b.shape() != a.shape() or b.field != a.field:
+        raise ShapeError("matrix addition needs identical shapes")
+    f = a.field
+    return Mat(f, [[f.add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a.rows, b.rows)], a.ncols)
+
+
+def is_zero_matrix(m: Mat) -> bool:
+    return all(m.field.is_zero(x) for row in m.rows for x in row)
+
+
 def mul_vec(m: Mat, vec) -> list:
     """The product of ``m`` with the column vector ``vec``."""
     if len(vec) != m.ncols:
@@ -42,7 +69,7 @@ def mat_to_vec(phi: Mat) -> list:
 def project_subspace(quot: QuotientSpace, other: SubspaceBasis) -> SubspaceBasis:
     """Image of a subspace in the quotient, as the nonzero rows of an echelon form."""
     f = quot.field
-    red, pivots = rref(quot.project_matrix(other.mat).transpose())
+    red, pivots = rref(transpose(quot.project_matrix(other.mat)))
     return SubspaceBasis(f, Mat.from_columns(f, red.rows[: len(pivots)], quot.dim))
 
 

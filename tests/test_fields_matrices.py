@@ -27,7 +27,7 @@ from horncalc.matrices import (
     rref,
     solve_exact,
 )
-from helpers import mul_vec
+from helpers import from_ints, mul_vec
 
 
 class TestPrimality:
@@ -168,7 +168,7 @@ class TestRankKernel:
         assert len(kernel_basis(m)) == 5
 
     def test_rank_one(self):
-        m = Mat.from_ints(QQ, [[1, 2], [2, 4]])
+        m = from_ints(QQ, [[1, 2], [2, 4]])
         assert rank(m) == 1
         (v,) = kernel_basis(m)
         # spanned by (2, -1) up to scale
@@ -247,9 +247,9 @@ def test_forward_pass_rank_and_det_match_reference_rref(field):
 def _rational_rank_cases(rng):
     p = DEFAULT_PRIME
     # singular mod p but invertible over Q: the residue rank is short
-    yield Mat.from_ints(QQ, [[p, 0], [0, 1]])
-    yield Mat.from_ints(QQ, [[1, 1], [1, 1 + p]])
-    yield Mat.from_ints(QQ, [[p, 2 * p, 0], [1, 1, 1]])
+    yield from_ints(QQ, [[p, 0], [0, 1]])
+    yield from_ints(QQ, [[1, 1], [1, 1 + p]])
+    yield from_ints(QQ, [[p, 2 * p, 0], [1, 1, 1]])
     # p divides a denominator: no residue image at all
     yield Mat(QQ, [[Fraction(1, p), QQ.one], [QQ.zero, QQ.one]])
     yield Mat(QQ, [[Fraction(1, p), QQ.one], [QQ.one, Fraction(p)]])  # singular
@@ -267,8 +267,8 @@ def test_rational_rank_matches_plain_forward_pass():
     # rank over Q tries the image mod p first; every outcome must equal the scalar reference's
     for m in _rational_rank_cases(rngmod.spawn(12, 1)):
         assert rank(m) == len(_reference_rref(QQ, m.rows, m.ncols)[1]), m
-    assert rank(Mat.from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])) == 2
-    assert Flag(QQ, Mat.from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])).space_dim == 2
+    assert rank(from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])) == 2
+    assert Flag(QQ, from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])).space_dim == 2
     with pytest.raises(DomainError):
         Flag(QQ, Mat(QQ, [[Fraction(1, DEFAULT_PRIME), QQ.one], [QQ.one, Fraction(DEFAULT_PRIME)]]))
 
@@ -307,8 +307,8 @@ def _leibniz_det(f, m):
 
 def _integer_pass_cases(rng):
     """Rational matrices for the fraction-free pass: zero rows and entries,
-    entries of magnitude 10^40, denominators divisible by 2^31 - 1, and tall,
-    wide, square and rank-deficient shapes."""
+    entries of magnitude 10^40, denominators divisible by 2^31 - 1, tall,
+    wide, square and rank-deficient shapes, and rows sharing a large content."""
     p = DEFAULT_PRIME
 
     def entry(kind):
@@ -331,6 +331,19 @@ def _integer_pass_cases(rng):
                 rows[-1] = [x - Fraction(3, 7) * y for x, y in zip(rows[0], rows[1])]
                 rows[1 + trial % (nrows - 2)] = [QQ.zero] * ncols
             yield Mat(QQ, rows, ncols)
+
+    # the shape of a certifier sample's rows: row (i, x) on column (y, j) is a[i][j] b[y][x];
+    # row i of a and column x of b carry factors near 10^20, shared by all of row (i, x)
+    def factors(n):
+        return [rng.randrange(10**20, 10**21) for _ in range(n)]
+
+    for (ar, ac), (br, bc) in (((4, 5), (5, 5)), ((2, 2), (3, 3))):
+        fa, fb = factors(ar), factors(bc)
+        a = [[Fraction(rng.randrange(-99, 100) * fa[i], rng.randrange(1, 8)) for _ in range(ac)] for i in range(ar)]
+        b = [[Fraction(rng.randrange(-99, 100) * fb[x], rng.randrange(1, 8)) for x in range(bc)] for _ in range(br)]
+        if ar > 3:  # rank 3 x 5 of 4 x 5: a's last row combines its first two
+            a[-1] = [y - Fraction(2, 5) * z for y, z in zip(a[0], a[1])]
+        yield Mat(QQ, [[a[i][j] * b[y][x] for y in range(br) for j in range(ac)] for i in range(ar) for x in range(bc)], br * ac)
 
 
 def _reference_kernel(rows, ncols):
@@ -388,12 +401,12 @@ class TestInverseDetSolve:
 
     def test_singular_inverse_raises(self):
         with pytest.raises(DomainError):
-            inverse(Mat.from_ints(QQ, [[1, 2], [2, 4]]))
+            inverse(from_ints(QQ, [[1, 2], [2, 4]]))
 
     def test_det_values(self):
-        assert det(Mat.from_ints(QQ, [[2, 0], [0, 3]])) == 6
-        assert det(Mat.from_ints(QQ, [[0, 1], [1, 0]])) == -1
-        assert det(Mat.from_ints(QQ, [[1, 2], [2, 4]])) == 0
+        assert det(from_ints(QQ, [[2, 0], [0, 3]])) == 6
+        assert det(from_ints(QQ, [[0, 1], [1, 0]])) == -1
+        assert det(from_ints(QQ, [[1, 2], [2, 4]])) == 0
         assert det(Mat(QQ, [], ncols=0)) == 1
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(7), SQRT5], ids=["rational", "gf7", "sqrt5"])
@@ -420,21 +433,21 @@ class TestInverseDetSolve:
         assert det(a.mul(b)) == det(a) * det(b)
 
     def test_solve(self):
-        a = Mat.from_ints(QQ, [[1, 0], [1, 1], [0, 2]])
-        x = Mat.from_ints(QQ, [[3], [5]])
+        a = from_ints(QQ, [[1, 0], [1, 1], [0, 2]])
+        x = from_ints(QQ, [[3], [5]])
         b = a.mul(x)
         assert solve_exact(a, b) == x
 
     def test_solve_inconsistent(self):
-        a = Mat.from_ints(QQ, [[1], [0]])
-        b = Mat.from_ints(QQ, [[0], [1]])
+        a = from_ints(QQ, [[1], [0]])
+        b = from_ints(QQ, [[0], [1]])
         with pytest.raises(DomainError):
             solve_exact(a, b)
 
 
 def test_shape_errors():
-    a = Mat.from_ints(QQ, [[1, 2]])
-    b = Mat.from_ints(QQ, [[1, 2], [3, 4]])
+    a = from_ints(QQ, [[1, 2]])
+    b = from_ints(QQ, [[1, 2], [3, 4]])
     with pytest.raises(ShapeError):
         a.mul(a)
     with pytest.raises(ShapeError):
