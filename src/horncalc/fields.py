@@ -64,7 +64,6 @@ class _OperatorField:
     ``add``, ``sub``, ``mul`` and ``is_zero``.
     """
 
-    residue_field = None
     integer_rows = None
 
     def div(self, a, b):
@@ -100,7 +99,6 @@ class _OperatorField:
 
 class PrimeField:
     cell_cost = 1
-    residue_field = None
     integer_rows = None
 
     def __init__(self, p: int):
@@ -174,7 +172,7 @@ class RationalField(_OperatorField):
     symbol = "QQ"
     # an elimination cell, in GF(p) cells (``matrices.check_elim_cells``)
     cell_cost = 40
-    # where ``matrices.rank`` tries a full rank first
+    # where ``matrices.rank`` tries a full rank of the integer rows first
     residue_field = PrimeField(DEFAULT_PRIME)
 
     zero = Fraction(0)
@@ -220,14 +218,6 @@ class RationalField(_OperatorField):
         """The fractions y / d of the ints of ``row`` over the nonzero ints of ``dens``."""
         zero = self.zero
         return [Fraction(y, d) if y else zero for y, d in zip(row, dens)]
-
-    def residues(self, rows):
-        """The rows' image in ``residue_field``, or None if its prime divides a denominator."""
-        p = self.residue_field.p
-        try:
-            return [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows]
-        except ValueError:  # a denominator not invertible mod p
-            return None
 
 
 class Sqrt5:

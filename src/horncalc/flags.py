@@ -52,7 +52,9 @@ class Flag:
 
     @classmethod
     def standard(cls, field, n: int) -> "Flag":
-        return cls(field, Mat.identity(field, n))
+        flag = cls(field, Mat.identity(field, n))
+        flag._inv = Mat.identity(field, n)  # its own inverse, in rows of its own
+        return flag
 
     @classmethod
     def random(cls, field, n: int, rng) -> "Flag":

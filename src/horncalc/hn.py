@@ -3,9 +3,8 @@
 Every nonzero subspace of GF(q)^r is visited exactly once, in the order of
 its canonical (reduced row echelon) basis: dimension ascending, then pivot
 sets in ``itertools.combinations`` order, then the free entries in
-``itertools.product`` order.  ``rref_subspaces`` yields the same bases, in
-the same order, as ``SubspaceBasis`` objects.  The scan works on plain
-integers mod q instead:
+``itertools.product`` order.  The scan works on plain integers mod q, not
+on matrices over the field:
 
 * Each flag's inverse is taken once, and each candidate echelon row v of a
   pivot set is mapped once into every flag's coordinates, F^{-1} v.
@@ -96,17 +95,6 @@ def _echelon_choices(q: int, r: int, d: int) -> Iterator[list[list[list[int]]]]:
         yield choices
 
 
-def _basis(field: PrimeField, r: int, rows: Sequence[Sequence[int]]) -> SubspaceBasis:
-    return SubspaceBasis(field, Mat.from_columns(field, rows, r))
-
-
-def rref_subspaces(field: PrimeField, r: int, d: int) -> Iterator[SubspaceBasis]:
-    """All d-dimensional subspaces of GF(q)^r via canonical echelon rows."""
-    for choices in _echelon_choices(field.p, r, d):
-        for rows in itertools.product(*choices):
-            yield _basis(field, r, rows)
-
-
 class HNResult(NamedTuple):
     minimizer: SubspaceBasis
     slope: Fraction
@@ -163,7 +151,7 @@ def hn_minimizer_exhaustive(
         if best is None or low * best[1] <= best[0] * d:
             best = (low, d, first, low_count)
     total, d, rows, multiplicity = best
-    return HNResult(_basis(field, r, rows), Fraction(total, d), multiplicity, scanned)
+    return HNResult(SubspaceBasis(field, Mat.from_columns(field, rows, r)), Fraction(total, d), multiplicity, scanned)
 
 
 def _reduce(basis: list, w: list[int], q: int) -> tuple[int, list[int]]:

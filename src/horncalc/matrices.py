@@ -12,8 +12,8 @@ step on rows kept divided by their content, and the field's
 end; a product over Q is likewise one integer dot per entry.
 ``rank`` and ``det`` run only its forward pass; the back pass, clearing
 above each pivot, runs for ``rref`` and the callers that read its rows.
-Over a field with a ``residue_field`` (Q, with GF(2^31 - 1)) ``rank``
-first eliminates the image there and stops if that rank is full.
+Over Q ``rank`` first ranks those integer rows mod 2^31 - 1, the field's
+``residue_field``; a full rank there is the answer.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def check_elim_cells(field, cells: int, what: str) -> None:
     worst time ratio to GF(2^31 - 1) measured on CPython at the budget's
     edge, 2.5 x 10^5 cells: 10-21 for a certifier sample whose rank runs
     the integer pass (r = 10-30), about 2 for one decided mod p, up to 6
-    for ``delta_determinant`` and 2.5 for ``sample_cell_point`` and
+    for ``delta_determinant`` and 4.5 for ``sample_cell_point`` and
     ``position``.  A cell over Q(sqrt 5), eliminated over fractions,
     counts 256.
     """
@@ -243,19 +243,19 @@ def rref(m: Mat) -> tuple[Mat, list[int]]:
 
 
 def rank(m: Mat) -> int:
-    """Rank by the forward pass, first in the field's ``residue_field`` if it has one.
+    """Rank by the forward pass; over Q, first on the integer rows mod ``residue_field``.
 
-    Rank mod p is at most rank over Q (a minor nonzero mod p is nonzero), so
-    a full rank mod p is the answer; any other outcome, or a denominator
-    divisible by p, runs the pass over the field itself.
+    Scaling a row by its LCM keeps its rank, and an integer minor nonzero mod
+    p is nonzero, so a full rank mod p is the rank over Q; any other outcome
+    runs the pass over Q on the same integer rows.
     """
-    fld = m.field
-    if fld.residue_field is not None:
-        image = fld.residues(m.rows)
-        full = min(m.nrows, m.ncols)
-        if image is not None and len(_eliminate(fld.residue_field, image, m.ncols, back=False)[1]) == full:
+    fld, rows = m.field, m.rows
+    if fld.integer_rows is not None:
+        rows, _ = fld.integer_rows(rows)
+        full, p = min(m.nrows, m.ncols), fld.residue_field.p
+        if len(_eliminate(fld.residue_field, [[x % p for x in row] for row in rows], m.ncols, back=False)[1]) == full:
             return full
-    return len(_eliminate(fld, m.rows, m.ncols, back=False)[1])
+    return len(_eliminate(fld, rows, m.ncols, back=False)[1])
 
 
 def kernel_basis(m: Mat) -> list[list]:

@@ -4,8 +4,11 @@ Each one is a reference or a test-data generator: the library never calls
 it, so it lives next to the tests that do.
 """
 
+import itertools
+
 from horncalc.errors import ShapeError
 from horncalc.flags import QuotientSpace, SubspaceBasis
+from horncalc.hn import _echelon_choices
 from horncalc.matrices import Mat, inverse, rref
 
 # Closure sizes of Appendix B per r, frozen as an independent pre-computed count.
@@ -91,3 +94,10 @@ def hom_conjugation_matrix(g: Mat, h: Mat) -> Mat:
             e.rows[b][a] = f.one
             cols.append(mat_to_vec(h.mul(e).mul(g_inv)))
     return Mat.from_columns(f, cols, r * q)
+
+
+def rref_subspaces(field, r: int, d: int):
+    """All d-dimensional subspaces of GF(q)^r via canonical echelon rows, in the scan's order."""
+    for choices in _echelon_choices(field.p, r, d):
+        for rows in itertools.product(*choices):
+            yield SubspaceBasis(field, Mat.from_columns(field, rows, r))

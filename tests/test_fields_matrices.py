@@ -250,7 +250,7 @@ def _rational_rank_cases(rng):
     yield from_ints(QQ, [[p, 0], [0, 1]])
     yield from_ints(QQ, [[1, 1], [1, 1 + p]])
     yield from_ints(QQ, [[p, 2 * p, 0], [1, 1, 1]])
-    # p divides a denominator: no residue image at all
+    # p divides a denominator, which the integer rows scale away
     yield Mat(QQ, [[Fraction(1, p), QQ.one], [QQ.zero, QQ.one]])
     yield Mat(QQ, [[Fraction(1, p), QQ.one], [QQ.one, Fraction(p)]])  # singular
     # tall, wide and square with non-integer entries, every other one rank-deficient
@@ -264,7 +264,7 @@ def _rational_rank_cases(rng):
 
 
 def test_rational_rank_matches_plain_forward_pass():
-    # rank over Q tries the image mod p first; every outcome must equal the scalar reference's
+    # rank over Q tries the integer rows mod p first; every outcome must equal the scalar reference's
     for m in _rational_rank_cases(rngmod.spawn(12, 1)):
         assert rank(m) == len(_reference_rref(QQ, m.rows, m.ncols)[1]), m
     assert rank(from_ints(QQ, [[DEFAULT_PRIME, 0], [0, 1]])) == 2

@@ -15,10 +15,17 @@ from horncalc.flags import (
     position,
     sample_cell_point,
 )
-from horncalc.hn import gaussian_binomial, hn_minimizer_exhaustive, rref_subspaces
+from horncalc.hn import gaussian_binomial, hn_minimizer_exhaustive
 from horncalc.matrices import Mat, rank, solve_exact
 from horncalc.subsets import CardSubset, PositionTuple, Weight, enumerate_subsets, slope
-from helpers import from_ints, is_zero_matrix, project_subspace, random_upper_triangular, transpose
+from helpers import (
+    from_ints,
+    is_zero_matrix,
+    project_subspace,
+    random_upper_triangular,
+    rref_subspaces,
+    transpose,
+)
 from test_fields_matrices import _reference_rref
 
 GF7 = PrimeField(7)
@@ -204,6 +211,12 @@ class TestQuotientFlag:
         q = induced_flag_on_quotient(e, v)
         assert q.complement_cols == e.mat.take_columns([2, 3, 4])
         assert q.flag.mat == Mat.identity(QQ, 3)
+        # the standard flag is handed its inverse, so none is eliminated
+        for f in (PrimeField(2), QQ, SQRT5):
+            for n in range(5):
+                flag = Flag.standard(f, n)
+                assert flag.inv() == Mat.identity(f, n)
+                assert not any(a is b for a, b in zip(flag.inv().rows, flag.mat.rows))
 
     def test_complement_columns_follow_position(self):
         e = example_flag()
