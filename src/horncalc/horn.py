@@ -11,11 +11,13 @@ Only the edim-0 slices recurse: Z(d, r, s) needs Z(m, d, s) for 0 < m < d.
 Levels are closed under permuting the parts, so a scan visits canonical rows
 only (nondecreasing indices into the lex-ordered d-subsets of [r]), with a
 codimension budget that starts at d(r - d) and leaves each row's edim.  The
-walk is depth first with children pushed in reverse, and picks the last two
-parts together, so rows come out in lexicographic order with no sort.  The
-composition test separates by part, edim(I o J) = sum_k D[I_k][J_k] -
-(s-1) m(r-m) with D[I][J] = dim(I o J) in [0, m(r-m)].  So each part packs
-into one integer with a w-bit lane per lower tuple J, part 0 adding a bias
+walk is depth first with children pushed in reverse, and picks the last
+three parts together (two if s = 2), so rows come out in lexicographic order
+with no sort.  The composition test separates by part, edim(I o J) =
+sum_k D[I_k][J_k] - (s-1) m(r-m) with D[I][J] = dim(I o J) in [0, m(r-m)],
+and D[I][J] = sum of I(a) over a in J, less m(m+1)/2, is linear in I.  So
+each part packs into one integer with a w-bit lane per lower tuple J, built
+from d products I(a) times the lanes that hold position a, part 0 adding a bias
 of 2^(w-1) - (s-1) m(r-m) to every lane, and one addition per part sums a
 row against every J at once: the row passes when each lane keeps its top
 bit.  w is the least width with 2^(w-1) >= (s-1) m(r-m) and 2^(w-1) > m(r-m)
@@ -26,6 +28,13 @@ edim 0, since [r] o J = J, and is built without the slices below.
 Levels with 2d > r scan nothing: V -> V^perp sends the position J in
 Gr(r - d, r) to J* = {r + 1 - x : x not in J} in Gr(d, r), of the same
 dimension, so they are images of levels (r - d, r, s) (Belkale 2006).
+
+A listing (``zero_slice``, ``members``) takes the distinct permutations of
+each canonical row (``itertools.permutations`` when its parts are distinct,
+a next-permutation walk when they repeat), sorts the index tuples once and
+maps them to tuples of parts.  The parts are the d-subsets of [r], built
+once per table and shape from ``itertools.combinations`` without checks, so
+equal parts of one table are one object.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetError, DomainError
-from .subsets import PositionTuple, enumerate_subsets
+from .subsets import CardSubset, PositionTuple, enumerate_subsets
 
 # Canonical rows one level scan may test: the largest slice at r = 10, s = 3
 # tests 43,019, the full level (5, 12, 3) would test 4.65 million.
@@ -105,21 +114,22 @@ def _check_listing(rows: Rows, key: tuple[int, int, int]):
             raise BudgetError(f"Horn level {key} would list {listed} tuples of {s} parts, over {MAX_LISTED_PARTS} parts")
 
 
+def _permutations(row: tuple[int, ...]):
+    """Distinct permutations of a nondecreasing row, in lexicographic order."""
+    return itertools.permutations(row) if len(set(row)) == len(row) else _multiset_permutations(row)
+
+
 def _expand(rows: Rows, key: tuple[int, int, int]) -> Rows:
-    """Every distinct permutation of each row, in lexicographic order.
+    """Every distinct permutation of each row with the row's edim, in lexicographic order.
 
     Raises ``BudgetError`` before listing over ``MAX_LISTED_PARTS`` parts.
     """
     _check_listing(rows, key)
-    out = []  # distinct rows are distinct multisets: their permutations never meet
-    for row, e in rows:
-        out += [(p, e) for p in _multiset_permutations(row)]
-    return sorted(out)
-
-
-def _tuples(d: int, r: int, rows: Rows) -> list[tuple[PositionTuple, int]]:
-    get, make = enumerate_subsets(d, r).__getitem__, PositionTuple.unchecked  # parts of one shape
-    return [(make(tuple(map(get, row))), e) for row, e in rows]
+    # distinct rows are distinct multisets: their permutations never meet, so
+    # the sort never compares an edim
+    out = [(p, e) for row, e in rows for p in _permutations(row)]
+    out.sort()
+    return out
 
 
 class HornViolation(NamedTuple):
@@ -159,7 +169,7 @@ class HornTable:
     """Memoized Horn levels (d, r, s): canonical index rows with their edims.
 
     A level is scanned for its edim-0 slice or, for enumeration, in full,
-    with the per-part tables D built and packed into lanes per scan; a level
+    with the per-part lanes packed per scan; a level
     with 2d > r is its mirror (r - d, r, s) mapped through J -> J*, and the
     level (r, r, s) is its one row.  A query that would scan over
     ``MAX_CANDIDATES`` rows at a level, or whose count alone would take over
@@ -167,8 +177,9 @@ class HornTable:
     run only where a cheap bound is over its budget: the candidates where
     C(C(r, d) + s - 1, s), every canonical row, is over ``MAX_CANDIDATES``,
     and the listed tuples where len(rows) s! s is over ``MAX_LISTED_PARTS``.
-    Tuples list every permutation, in lexicographic order, and skip validation
-    (their parts come from ``enumerate_subsets``).  Built levels and slices never change.
+    Tuples list every permutation, in lexicographic order, and skip validation:
+    their parts are the table's d-subsets of [r], built once per (d, r) and
+    shared by every tuple of that shape.  Built levels and slices never change.
     """
 
     def __init__(self):
@@ -176,16 +187,29 @@ class HornTable:
         self._zero_rows: dict[tuple[int, int, int], Rows] = {}
         self._zero: dict[tuple[int, int, int], tuple[PositionTuple, ...]] = {}
         self._checked: set[tuple[tuple[int, int, int], bool]] = set()  # (key, full) within budget
+        self._subsets: dict[tuple[int, int], list[CardSubset]] = {}  # parts by (d, r)
         self.kirwan_systems: dict[tuple[int, int], list] = {}  # filled by horncalc.kirwan
 
     def members(self, d: int, r: int, s: int) -> list[tuple[PositionTuple, int]]:
-        return _tuples(d, r, _expand(self._level((d, r, s), full=True), (d, r, s)))
+        return self._tuples(d, r, _expand(self._level((d, r, s), full=True), (d, r, s)))
 
     def zero_slice(self, d: int, r: int, s: int) -> tuple[PositionTuple, ...]:
         key = (d, r, s)
         if key not in self._zero:
-            self._zero[key] = tuple(t for t, _ in _tuples(d, r, _expand(self._level(key), key)))
+            get, make = self._parts(d, r).__getitem__, PositionTuple.unchecked
+            self._zero[key] = tuple([make(tuple(map(get, p))) for p, _ in _expand(self._level(key), key)])
         return self._zero[key]
+
+    def _parts(self, d: int, r: int) -> list[CardSubset]:
+        """The d-subsets of [r] in lex order, built once per table and shared by its tuples."""
+        if (d, r) not in self._subsets:
+            self._subsets[d, r] = enumerate_subsets(d, r)
+        return self._subsets[d, r]
+
+    def _tuples(self, d: int, r: int, rows: Rows) -> list[tuple[PositionTuple, int]]:
+        """Index rows with their edims as tuples of parts, unchecked: the parts are of one shape."""
+        get, make = self._parts(d, r).__getitem__, PositionTuple.unchecked
+        return [(make(tuple(map(get, row))), e) for row, e in rows]
 
     def _level(self, key: tuple[int, int, int], full: bool = False) -> Rows:
         store = self._rows if full else self._zero_rows
@@ -249,48 +273,70 @@ class HornTable:
         top = max((m * (r - m) for m in range(1, d)), default=0)
         w = max((s - 1) * top - 1, top).bit_length() + 1
         half, one, none = 1 << (w - 1), "1".zfill(w), "0" * w
-        lanes = [[0] * len(codims) for _ in range(s)]
+        # D[i][J] = sum of I(a) over the positions a in J, less m(m+1)/2, so
+        # lanes[k][i] = sum_a I(a) at[k][a] + fixed[k], where at[k][a] holds 1
+        # in the lanes whose part k contains position a
+        at, fixed = [[0] * d for _ in range(s)], [0] * s
         shift = 0  # the bits of the lanes packed so far
         for m in range(1, d):
-            inner, base = list(itertools.combinations(range(d), m)), m * (m + 1) // 2
-            outer = itertools.combinations(range(1, r + 1), d)  # table[i][j] = dim(I o J), by lex index
-            table = [[sum(big[j] for j in small) - base for small in inner] for big in outer]
+            inner = list(itertools.combinations(range(d), m))
+            digits = [[one if a in small else none for small in inner] for a in range(d)]
             below = self._level((m, d, s))
             _check_listing(below, (m, d, s))
-            tuples = [p for row, _ in below for p in _multiset_permutations(row)]
-            for k, (part, col) in enumerate(zip(lanes, zip(*tuples))):
-                # picks[j]: 1 in the lanes whose tuple has the subset j in this part
-                picks = [int("".join(one if c == j else none for c in reversed(col)), 2) << shift for j in range(comb(d, m))]
-                bias = (half - (s - 1) * m * (r - m)) * sum(picks) if k == 0 else 0
-                for i, dims in enumerate(table):
-                    part[i] += sum(map(mul, dims, picks)) + bias
+            tuples = [p for row, _ in below for p in _permutations(row)]
+            ones = ((1 << w * len(tuples)) - 1) // ((1 << w) - 1) << shift  # 1 in each lane of this m
+            fixed[0] += (half - (s - 1) * m * (r - m)) * ones
+            for k, col in enumerate(zip(*tuples)):
+                col = col[::-1]  # the first tuple in the lowest lane
+                for a, digit in enumerate(digits):
+                    at[k][a] += int("".join(map(digit.__getitem__, col)), 2) << shift
+                fixed[k] -= m * (m + 1) // 2 * ones
             shift += w * len(tuples)
+        outer = list(itertools.combinations(range(1, r + 1), d))  # by lex index
+        lanes = [[sum(map(mul, big, at_k)) + fixed_k for big in outer] for at_k, fixed_k in zip(at, fixed)]
         mask = ((1 << shift) - 1) // ((1 << w) - 1) << (w - 1)  # the top bit of each lane; 0 for d = 1
         # fits[b]: subsets within a budget b; the last part must use it up unless full
-        fits = [[i for i, c in enumerate(codims) if c <= b] for b in range(cell + 1)]
-        last = fits if full else [[i for i in fits[b] if codims[i] == b] for b in range(cell + 1)]
+        last = [[] for _ in range(cell + 1)]
+        for i, c in enumerate(codims):
+            last[c].append(i)
+        fits = list(itertools.accumulate(last, lambda fit, more: sorted(fit + more)))
+        if full:
+            last = fits
         if s == 1:
             return [((i,), cell - codims[i]) for i in last[cell] if lanes[0][i] & mask == mask]
+        if s == 2:
+            return [
+                ((i, j), rest - codims[j])
+                for i in fits[cell]
+                for rest in [cell - codims[i]]
+                for pool in [last[rest]]
+                for j in pool[bisect_left(pool, i):]
+                if (lanes[0][i] + lanes[1][j]) & mask == mask
+            ]
         rows: Rows = []
-        # Depth first down to s - 2 parts, children pushed in reverse, so that
-        # rows come out in lexicographic order; the last two parts i <= j are
-        # picked together.
+        # Depth first down to s - 3 parts, children pushed in reverse, so that
+        # rows come out in lexicographic order; the last three parts h <= i <= j
+        # are picked together.
         stack = [((), cell, 0)]
-        lane_i, lane_j = lanes[s - 2], lanes[s - 1]
+        lane_h, lane_i, lane_j = lanes[s - 3:]
         while stack:
             row, left, acc = stack.pop()  # acc: the lanes of row's parts
             pool = fits[left]
             if row:
                 pool = pool[bisect_left(pool, row[-1]):]
-            if len(row) < s - 2:
+            if len(row) < s - 3:
                 lane = lanes[len(row)]
                 stack += [(row + (i,), left - codims[i], acc + lane[i]) for i in reversed(pool)]
             else:
                 rows += [
-                    (row + (i, j), rest - codims[j])
-                    for i in pool
-                    for rest, acc_i in [(left - codims[i], acc + lane_i[i])]
-                    for j in last[rest][bisect_left(last[rest], i):]
+                    (row + (h, i, j), rest - codims[j])
+                    for h in pool
+                    for left_h, acc_h in [(left - codims[h], acc + lane_h[h])]
+                    for pool_h in [fits[left_h]]
+                    for i in pool_h[bisect_left(pool_h, h):]
+                    for rest, acc_i in [(left_h - codims[i], acc_h + lane_i[i])]
+                    for pool_i in [last[rest]]
+                    for j in pool_i[bisect_left(pool_i, i):]
                     if (acc_i + lane_j[j]) & mask == mask
                 ]
         return rows
@@ -331,7 +377,7 @@ def horn_classes(r: int, n: int, s: int, cache: HornTable) -> list[tuple[Positio
     Returns canonical representatives (parts sorted lexicographically) with
     their edims, sorted lexicographically; this is the Appendix-style view.
     """
-    return _tuples(r, n, cache._level((r, n, s), full=True))
+    return cache._tuples(r, n, cache._level((r, n, s), full=True))
 
 
 def horn0(d: int, r: int, s: int, cache: HornTable) -> list[PositionTuple]:

@@ -81,6 +81,13 @@ class CardSubset(_Frozen):
         _set(self, "ground", ground)
         _set(self, "elements", elements)
 
+    @classmethod
+    def unchecked(cls, ground: int, elements: tuple[int, ...]) -> "CardSubset":
+        """The subset ``elements`` of [ground], known to be strictly increasing within it: no check."""
+        _set(sub := object.__new__(cls), "ground", ground)
+        _set(sub, "elements", elements)
+        return sub
+
     @property
     def cardinality(self) -> int:
         return len(self.elements)
@@ -152,7 +159,8 @@ def enumerate_subsets(cardinality: int, ground: int) -> list[CardSubset]:
     """All cardinality-subsets of [ground] in lexicographic order."""
     if not 0 <= cardinality <= ground:
         raise DomainError(f"cardinality must lie in [0, {ground}], got {cardinality}")
-    return [CardSubset(ground, c) for c in itertools.combinations(range(1, ground + 1), cardinality)]
+    make = CardSubset.unchecked  # combinations are strictly increasing within [ground]
+    return [make(ground, c) for c in itertools.combinations(range(1, ground + 1), cardinality)]
 
 
 class Weight(_Frozen):

@@ -251,7 +251,7 @@ class TestCanonicalBuild:
         # every level up to these ranks: scanned, mirrored or (r, r, s); the
         # many parts of (1, 2, 12) and (2, 3, 7) leave (2, 3, 7) a bias of
         # 16 - 12 in 5-bit lanes, and (4, 8, 3) and (3, 6, 4) use 6-bit lanes;
-        # s = 1, s = 2 and the last two parts take their own branches of the walk
+        # s = 1, s = 2 and the last three parts take their own branches of the walk
         shapes = [(s, r) for s, top in [(3, 8), (1, 6), (2, 6), (4, 6), (5, 6)] for r in range(1, top + 1)]
         shapes += [(12, 2), (7, 3)]
         for full in (True, False):
@@ -430,17 +430,42 @@ class TestCanonicalBuild:
         assert not table._rows and not table._zero_rows
 
     def test_boundary_tuples_equal_validated_ones(self):
-        # zero_slice and horn_classes build their tuples without validation
-        table = HornTable()
+        # zero_slice, members, horn_classes and horn0 build their tuples and
+        # parts without validation; a table builds each part once per (d, r).
+        # members lists every distinct permutation of each class, in
+        # lexicographic order, whether the parts are distinct or repeat.
+        table, seen = HornTable(), {}
+
+        def check(t):
+            assert t == PositionTuple(t.parts) and hash(t) == hash(PositionTuple(t.parts))
+            for p in t.parts:
+                valid = CardSubset(p.ground, p.elements)
+                assert p == valid and hash(p) == hash(valid)
+                assert seen.setdefault((p.ground, p.elements), p) is p
+
         for r in range(1, 8):
             for d in range(1, r + 1):
                 for t in table.zero_slice(d, r, 3):
-                    assert t == PositionTuple(t.parts) and hash(t) == hash(PositionTuple(t.parts))
-        shapes = [(1, 6, 5), (2, 4, 5), (2, 5, 4), (2, 7, 3), (3, 6, 3), (3, 5, 4), (2, 8, 3), (4, 6, 3), (2, 6, 4)]
-        for d, r, s in shapes:
-            for t, _ in horn_classes(d, r, s, table):
-                assert t == PositionTuple(t.parts) and hash(t) == hash(PositionTuple(t.parts))
+                    check(t)
+        shapes = [(d, r, s) for s in range(1, 6) for r in range(1, 7) for d in range(1, r + 1)]
+        for d, r, s in shapes + [(2, 7, 3), (2, 8, 3), (1, 2, 12), (2, 3, 7)]:
+            classes = horn_classes(d, r, s, table)
+            for t, _ in classes:
+                check(t)
                 assert t.canonical() == t
+            members = table.members(d, r, s)
+            for t, _ in members:
+                check(t)
+            keys = [t.sort_key() for t, _ in members]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (d, r, s)
+            orderings = {(t, e): factorial(s) // prod(map(factorial, Counter(t.parts).values())) for t, e in classes}
+            assert Counter((t.canonical(), e) for t, e in members) == orderings, (d, r, s)
+            for t in horn0(d, r, s, table):
+                check(t)
+            zero = table.zero_slice(d, r, s)
+            for t in zero:
+                check(t)
+            assert list(zero) == [t for t, e in members if e == 0]
 
     def test_mirrored_witnesses_recheck(self):
         # witnesses at d = 2 > r / 2 come from a mirrored slice
