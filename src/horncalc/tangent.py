@@ -19,16 +19,29 @@ the lifted point is at least the mod-p rank, forcing dim == edim over Q too.
 The reverse verdict stays Monte-Carlo.
 
 One sample works on a reduced space.  Each space is equivariant,
-H_I(F, G) = G H_I(E, E) F^{-1}, so the part with the fewest free slots is
-parametrised by its own slots at standard flags and only the other parts'
-constraints are eliminated: a matrix with dim I_k0 columns instead of the
-stacked r(n-r) columns of every part, with the same kernel dimension for
-every field and every flag tuple.  The elimination budget
-(``matrices.check_elim_cells``, weighted by field) covers every sample of
-a call, as a non-member draws them all: each costs the reduced elimination
-plus drawing and multiplying its 2s flags.  Over Q the weight is that of a
-sample whose rank runs the integer pass, as a non-member's does; a
-member's rank is decided mod p at about twice the GF(p) cost.
+H_I(F, G) = G H_I(E, E) F^{-1}, so the part k0 with the fewest free slots is
+parametrised by its own slots at standard flags, phi = G0 psi F0^{-1}, and
+part k asks that A_k psi B_k vanish outside its slots, with
+A_k = G_k^{-1} G0 and B_k = F0^{-1} F_k.  A second part k1, of largest
+codimension among the others, is reduced in closed form.  H_I(F, G)
+depends only on the flags, so each F_k and G_k may be multiplied on the
+right by any invertible upper-triangular matrix: B_k then changes by one of
+its own on the right and by one shared by every part on the left (from F0),
+A_k by one of its own on the left and by a shared one on the right (from
+G0).  Every invertible matrix is U w U' with U, U' upper-triangular and w a
+permutation (Bruhat), the relative position of two flags; the shared
+factors of A_k1 and B_k1, carried onto the other parts, leave permutation
+matrices there, and each constraint of part k1 then sets one entry of psi
+to zero.  Only the other s - 2 parts are eliminated, on the slots that
+survive: for an edim-0 triple a matrix of about codim I_k2 square instead
+of (codim I_k1 + codim I_k2) x dim I_k0, and none for a pair, with the
+same kernel dimension for every field and every flag tuple.  The
+elimination budget (``matrices.check_elim_cells``, weighted by field)
+covers every sample of a call, as a non-member draws them all: each costs
+the reduced elimination plus drawing and multiplying its 2s flags, counted
+(``_sample_cells``) as if only part k0 were reduced.  Over Q the weight is
+that of a sample whose rank runs the integer pass, as a non-member's does;
+a member's rank is decided mod p at about twice the GF(p) cost.
 ``delta_determinant`` is budgeted the same way (``check_delta_budget``).
 
 When edim is zero the tangent map
@@ -42,6 +55,7 @@ identities (see the test suite).
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError
@@ -132,12 +146,14 @@ def phi_in_h_space(subset: CardSubset, f_flag: Flag, g_flag: Flag, phi: Mat) -> 
 def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> int:
     """Exact dimension of the joint solution space; always >= edim.
 
-    Parametrises the part k0 with the fewest free slots by psi at standard
-    flags, phi = G0 psi F0^{-1}, and imposes only the other parts: row (i, a)
-    of part k on slot (a', b) is A_k[i][b] B_k[a'][a], with A_k = G_k^{-1} G0
-    and B_k = F0^{-1} F_k.  Neither inverse is formed: each A_k is solved
-    from G_k A_k = G0, and every B_k from one solve F0 [B_k ...] = [F_k ...].
-    The result is len(slots) - rank of those rows.
+    Works on the reduced space of the module docstring.  Neither inverse is
+    formed: each A_k is solved from G_k A_k = G0, and every B_k from one
+    solve F0 [B_k ...] = [F_k ...].  ``_bruhat_pivots`` brings B_k1, and
+    A_k1 transposed with both orders reversed, to Bruhat normal form,
+    carrying the shared operations onto the other parts; each constraint of
+    part k1 then kills one slot.  Row (i, a) of a remaining part k on a
+    surviving slot (a', b) is A_k[i][b] B_k[a'][a], and the result is the
+    number of surviving slots minus the rank of those rows.
     """
     if len(f_flags) != tup.s or len(g_flags) != tup.s:
         raise ShapeError(f"need {tup.s} flag pairs, got {len(f_flags)}, {len(g_flags)}")
@@ -148,20 +164,69 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
             raise ShapeError("all flags must share one field")
     k0 = _reduced_part(tup)
     slots = [(a - 1, b - 1) for a, b in tup.parts[k0].cell_slots()]
-    if not slots:
-        return 0
-    others = [k for k in range(tup.s) if k != k0]
+    if not slots or tup.s == 1:
+        return len(slots)
+    k1 = min((k for k in range(tup.s) if k != k0), key=lambda k: tup.parts[k].dim())
+    rest = [k for k in range(tup.s) if k not in (k0, k1)]
     r, g0, mul = tup.cardinality, g_flags[k0].mat, fld.mul
-    # every B_k from one solve: for k = others[j] it is columns j r .. j r + r - 1
-    f_rest = Mat(fld, [[x for k in others for x in f_flags[k].mat.rows[i]] for i in range(r)], r * len(others))
-    b_all = solve_exact(f_flags[k0].mat, f_rest).rows
+    q, ks = g0.nrows, (k1, *rest)
+    # every B_k from one solve, B_k1 first: for k = ks[j] it is columns j r .. j r + r - 1
+    f_rest = Mat(fld, [[x for k in ks for x in f_flags[k].mat.rows[i]] for i in range(r)], r * len(ks))
+    b_rows = solve_exact(f_flags[k0].mat, f_rest).rows
+    # the A_k transposed and side by side, column b of each in row q - 1 - b,
+    # so that the recipe for B serves A with both index orders reversed
+    a_ks = [solve_exact(g_flags[k].mat, g0).rows for k in ks]
+    a_rows = [[a[i][b] for a in a_ks for i in range(q)] for b in reversed(range(q))]
+    if fld.integer_rows is not None:
+        # over Q a row scale is a diagonal operation, so the reduction runs on
+        # integer rows, and the rows ranked at the end are integers too
+        b_rows, _ = fld.integer_rows(b_rows)
+        a_rows, _ = fld.integer_rows(a_rows)
+    b_piv = _bruhat_pivots(fld, b_rows, range(r))
+    a_piv = _bruhat_pivots(fld, a_rows, reversed(range(q)))
+    # k1's row i of column a reads psi[q - 1 - a_piv[i]][b_piv[a]]
+    killed = {(b_piv[a], q - 1 - a_piv[i])
+              for a, ia in enumerate(tup.parts[k1].elements) for i in range(ia - a - 1, q)}
+    live = [(a_rows[q - 1 - b], b_rows[ap]) for ap, b in slots if (ap, b) not in killed]
     rows = []
-    for j, k in enumerate(others):
-        a_k = solve_exact(g_flags[k].mat, g0).rows
+    for j, k in enumerate(rest, 1):
         for a, ia in enumerate(tup.parts[k].elements):
             col = j * r + a
-            rows.extend([mul(a_k[i][b], b_all[ap][col]) for ap, b in slots] for i in range(ia - a - 1, g0.nrows))
-    return len(slots) - rank(Mat(fld, rows, len(slots)))
+            rows.extend([mul(ar[j * q + i], br[col]) for ar, br in live] for i in range(ia - a - 1, q))
+    return len(live) - rank(Mat(fld, rows, len(live)))
+
+
+def _bruhat_pivots(fld, rows: list[list], cols) -> dict:
+    """Pivot row of each column of ``cols``, in the Bruhat normal form of those columns.
+
+    The columns are taken in the order given.  A column's pivot is the last
+    row not used yet with a nonzero entry there, and the unused rows before
+    it are cleared with whole-row operations: a later row added to earlier
+    ones, an upper-triangular operation on the left, made in place on the
+    other columns too.  The operations on the right that would clear the
+    pivot rows touch nothing else, so they are left out.  Over Q the rows
+    are integers, each kept divided by its content.
+    """
+    integral = fld.integer_rows is not None
+    is_zero, scale_row, sub_scaled_row = fld.is_zero, fld.scale_row, fld.sub_scaled_row
+    free, pivots = list(range(len(rows))), {}
+    for c in cols:
+        at = next(t for t in reversed(range(len(free))) if not is_zero(rows[free[t]][c]))
+        p = pivots[c] = free.pop(at)
+        piv_row = rows[p]
+        if not integral:
+            piv_row = rows[p] = scale_row(fld.div(fld.one, piv_row[c]), piv_row)
+        for i in free[:at]:
+            x = rows[i][c]
+            if is_zero(x):
+                continue
+            if integral:
+                w = sub_scaled_row(scale_row(piv_row[c], rows[i]), x, piv_row)
+                g = gcd(*w)
+                rows[i] = [y // g for y in w]
+            else:
+                rows[i] = sub_scaled_row(rows[i], x, piv_row)
+    return pivots
 
 
 def _reduced_part(tup: PositionTuple) -> int:
@@ -170,12 +235,15 @@ def _reduced_part(tup: PositionTuple) -> int:
 
 
 def _sample_cells(tup: PositionTuple) -> tuple[int, int, int]:
-    """(rows, cols, cells) of one sample.
+    """(rows, cols, cells) of one sample, as budgeted: an upper bound.
 
-    The reduced matrix has sum_{k != k0} codim I_k rows and dim I_k0
-    columns, eliminated in rows x cols x min(rows, cols) cells; drawing the
-    2s flags and solving against them adds s (r^3 + q^3), so that no
-    sample is free even when the reduced matrix is empty.
+    Counted as if every part other than k0 were eliminated, on
+    sum_{k != k0} codim I_k rows and dim I_k0 columns, in
+    rows x cols x min(rows, cols) cells; drawing the 2s flags and solving
+    against them adds s (r^3 + q^3), so that no sample is free even when
+    the reduced matrix is empty.  ``h_intersection_dim`` reduces a second
+    part in closed form and eliminates less; the count is kept so that
+    every refusal, and its message, stays as it is.
     """
     r, q = tup.cardinality, tup.ground - tup.cardinality
     k0 = _reduced_part(tup)

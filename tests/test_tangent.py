@@ -204,9 +204,10 @@ class TestIntersectionDim:
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_reduced_space_matches_stacked_rank(self, field):
-        # h_intersection_dim eliminates only the other parts' constraints on
-        # the free slots of one part; it must equal ncols - rank of every
-        # part's constraints stacked, generic flags or not
+        # h_intersection_dim parametrises one part by its free slots, kills
+        # the slots a second part's constraints hit in Bruhat normal form and
+        # eliminates only the rest; it must equal ncols - rank of every part's
+        # constraints stacked, generic flags or not
         rng = rngmod.spawn(39, 0)
         pyrng = random.Random(39)
 
@@ -215,17 +216,32 @@ class TestIntersectionDim:
             n = flag.space_dim
             return [Flag(field, flag.mat.mul(random_upper_triangular(field, n, rng))) for _ in range(s)]
 
+        def permuted(n):
+            # a permutation matrix: flags in every relative position, not only the generic one
+            order = pyrng.sample(range(n), n)
+            return Flag(field, Mat(field, [[field.one if j == order[i] else field.zero for j in range(n)]
+                                           for i in range(n)], n))
+
         def flag_modes(r, q, s):
             std = ([Flag.standard(field, r)] * s, [Flag.standard(field, q)] * s)
             same = (rebased(Flag.random(field, r, rng), s), rebased(Flag.random(field, q, rng), s))
             rand = ([Flag.random(field, r, rng) for _ in range(s)], [Flag.random(field, q, rng) for _ in range(s)])
-            return std, same, rand
+            perm = ([permuted(r) for _ in range(s)], [permuted(q) for _ in range(s)])
+            # each part's flag one of two, in coordinates or random, with its own basis: parts
+            # in special position to each other, which the reduction's shared operations keep
+            pools = [permuted(r), Flag.random(field, r, rng)], [permuted(q), Flag.random(field, q, rng)]
+            pooled = tuple([rebased(pyrng.choice(pool), 1)[0] for _ in range(s)] for pool in pools)
+            return std, same, rand, perm, pooled
 
         tuples = [
             pt(4, [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4]),  # r = n, q = 0
             pt(6, [1, 2, 3], [4, 5, 6], [4, 5, 6]),  # dim I_k0 = 0, edim 0
             pt(4, [3, 4], [3, 4], [2, 4], [1, 3]),  # s = 4, smallest part last
             pt(5, [2, 4], [2, 4], [2, 4]),  # every part has the same dim
+            # r = q = 5, the part of largest codimension not first: s = 2, and
+            # s = 4 with the two largest codimensions third and fourth
+            pt(10, [2, 5, 6, 9, 10], [1, 3, 5, 7, 9]),
+            pt(10, [3, 6, 8, 9, 10], [5, 7, 8, 9, 10], [2, 4, 6, 8, 10], [2, 5, 7, 9, 10]),
         ]
         for _ in range(16):
             n = pyrng.randrange(2, 7)
