@@ -119,7 +119,7 @@ def _bottom_echelon(field, mat: Mat, back: bool = True) -> tuple[list[int], list
     rows, pivots, _ = _eliminate(field, [c[::-1] for c in mat.columns()], n, back)
     if len(pivots) < mat.ncols:
         raise DomainError("columns are linearly dependent")
-    return [n - 1 - c for c in reversed(pivots)], rows and [row[::-1] for row in reversed(rows)]
+    return [n - 1 - c for c in reversed(pivots)], [row[::-1] for row in reversed(rows)] if back else None
 
 
 def position(subspace: SubspaceBasis, flag: Flag) -> CardSubset:

@@ -10,9 +10,10 @@ field's ``integer_rows`` are updated by one rule in both passes, Bareiss'
 step on rows kept divided by their content, and the field's
 ``integer_quotients`` turns the integers back into fractions only at the
 end; a product over Q is likewise one integer dot per entry.
-``rank`` and ``det`` run only its forward pass; the back pass, clearing
-above each pivot, runs for ``rref`` and the callers that read its rows.
-Over Q ``rank`` first ranks those integer rows mod 2^31 - 1, the field's
+``rank``, ``det`` and the certifier run only its forward pass, whose echelon
+rows over Q are integers, each a nonzero multiple of its reduced row; the
+back pass runs for ``rref`` and the callers that read reduced rows.
+Over Q ``rank`` first ranks its input's integer rows mod 2^31 - 1, the field's
 ``residue_field``; a full rank there is the answer.
 """
 
@@ -146,15 +147,17 @@ class Mat:
         return f"Mat({self.field!r}, {self.rows!r})"
 
 
-def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple[list[list] | None, list[int], object]:
+def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple[list[list], list[int], object]:
     """Gaussian elimination, the one elimination loop of the package.
 
-    Returns the rows of the reduced echelon form when ``back`` runs the back
-    pass (None without it: the forward pass alone is read for its pivots),
-    the pivot columns, and the product of the pivots as found, negated once
-    per row swap: the determinant when the matrix is square and of full
-    rank.  A pivot step clears its column in the rows below it and, with
-    ``back``, in the rows above it too; the rows above change no pivot.
+    Returns the rows, the pivot columns, and the product of the pivots as
+    found, negated once per row swap: the determinant when the matrix is
+    square and of full rank.  A pivot step clears its column in the rows
+    below it and, with ``back``, in the rows above it too; the rows above
+    change no pivot.  With ``back`` the rows are the reduced echelon form;
+    without it they are E times the input, E lower-triangular after the row
+    swaps, so [L | R] with L invertible gives [T | T L^-1 R], T upper-triangular.
+    Over Q each is a nonzero integer multiple of the row the other fields give.
 
     Over a field with ``integer_rows`` (Q) the loop runs on integers
     (Bareiss): each row is scaled by the LCM of its denominators, which
@@ -233,7 +236,7 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple
         if back:
             rows = [field.integer_quotients(row, [row[c]] * ncols) for row, c in zip(rows, pivots)]
             rows += [[field.zero] * ncols for _ in range(k, nrows)]
-    return (rows if back else None), pivots, factor
+    return rows, pivots, factor
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:

@@ -22,13 +22,16 @@ One sample works on a reduced space.  Each space is equivariant,
 H_I(F, G) = G H_I(E, E) F^{-1}, so the part k0 with the fewest free slots is
 parametrised by its own slots at standard flags, phi = G0 psi F0^{-1}, and
 part k asks that A_k psi B_k vanish outside its slots, with
-A_k = G_k^{-1} G0 and B_k = F0^{-1} F_k.  A second part k1, of largest
-codimension among the others, is reduced in closed form.  H_I(F, G)
-depends only on the flags, so each F_k and G_k may be multiplied on the
-right by any invertible upper-triangular matrix: B_k then changes by one of
-its own on the right and by one shared by every part on the left (from F0),
-A_k by one of its own on the left and by a shared one on the right (from
-G0).  Every invertible matrix is U w U' with U, U' upper-triangular and w a
+A_k = G_k^{-1} G0 and B_k = F0^{-1} F_k.  H_I(F, G) depends only on the
+flags, so each F_k and G_k may be multiplied on the right by any invertible
+upper-triangular matrix: B_k then changes by one of its own on the right
+and by one shared by every part on the left (from F0), A_k by one of its
+own on the left and by a shared one on the right (from G0).  So elimination
+needs no back pass: on [F0 | F_k ...] the forward pass leaves [T0 | T0 B_k ...]
+and on [G_k | G0] it leaves [T_k | T_k A_k], T0 and T_k upper-triangular, as
+if F0 were F0 T0^{-1} and G_k were G_k T_k^{-1}: the same flags.  A second
+part k1, of largest codimension among the others, is reduced in closed
+form.  Every invertible matrix is U w U' with U, U' upper-triangular and w a
 permutation (Bruhat), the relative position of two flags; the shared
 factors of A_k1 and B_k1, carried onto the other parts, leave permutation
 matrices there, and each constraint of part k1 then sets one entry of psi
@@ -60,7 +63,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError
 from .flags import Flag
-from .matrices import Mat, check_elim_cells, det, inverse, rank, solve_exact
+from .matrices import Mat, _eliminate, check_elim_cells, det, inverse, rank
 from .subsets import CardSubset, PositionTuple, Weight
 
 
@@ -146,9 +149,9 @@ def phi_in_h_space(subset: CardSubset, f_flag: Flag, g_flag: Flag, phi: Mat) -> 
 def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Sequence[Flag]) -> int:
     """Exact dimension of the joint solution space; always >= edim.
 
-    Works on the reduced space of the module docstring.  Neither inverse is
-    formed: each A_k is solved from G_k A_k = G0, and every B_k from one
-    solve F0 [B_k ...] = [F_k ...].  ``_bruhat_pivots`` brings B_k1, and
+    Works on the reduced space of the module docstring.  Nothing is inverted
+    or solved: ``_forward_rows`` gives T0 B_k for every k from [F0 | F_k ...]
+    and T_k A_k from each [G_k | G0].  ``_bruhat_pivots`` brings B_k1, and
     A_k1 transposed with both orders reversed, to Bruhat normal form,
     carrying the shared operations onto the other parts; each constraint of
     part k1 then kills one slot.  Row (i, a) of a remaining part k on a
@@ -170,18 +173,12 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
     rest = [k for k in range(tup.s) if k not in (k0, k1)]
     r, g0, mul = tup.cardinality, g_flags[k0].mat, fld.mul
     q, ks = g0.nrows, (k1, *rest)
-    # every B_k from one solve, B_k1 first: for k = ks[j] it is columns j r .. j r + r - 1
-    f_rest = Mat(fld, [[x for k in ks for x in f_flags[k].mat.rows[i]] for i in range(r)], r * len(ks))
-    b_rows = solve_exact(f_flags[k0].mat, f_rest).rows
-    # the A_k transposed and side by side, column b of each in row q - 1 - b,
+    # every T0 B_k, B_k1 first: for k = ks[j] it is columns j r .. j r + r - 1 (integers over Q)
+    b_rows = [row[r:] for row in _forward_rows(f_flags[k0].mat, *(f_flags[k].mat for k in ks))]
+    # the T_k A_k transposed and side by side, column b of each in row q - 1 - b,
     # so that the recipe for B serves A with both index orders reversed
-    a_ks = [solve_exact(g_flags[k].mat, g0).rows for k in ks]
-    a_rows = [[a[i][b] for a in a_ks for i in range(q)] for b in reversed(range(q))]
-    if fld.integer_rows is not None:
-        # over Q a row scale is a diagonal operation, so the reduction runs on
-        # integer rows, and the rows ranked at the end are integers too
-        b_rows, _ = fld.integer_rows(b_rows)
-        a_rows, _ = fld.integer_rows(a_rows)
+    a_ks = [_forward_rows(g_flags[k].mat, g0) for k in ks]
+    a_rows = [[a[i][q + b] for a in a_ks for i in range(q)] for b in reversed(range(q))]
     b_piv = _bruhat_pivots(fld, b_rows, range(r))
     a_piv = _bruhat_pivots(fld, a_rows, reversed(range(q)))
     # k1's row i of column a reads psi[q - 1 - a_piv[i]][b_piv[a]]
@@ -194,6 +191,16 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
             col = j * r + a
             rows.extend([mul(ar[j * q + i], br[col]) for ar, br in live] for i in range(ia - a - 1, q))
     return len(live) - rank(Mat(fld, rows, len(live)))
+
+
+def _forward_rows(left: Mat, *right: Mat) -> list[list]:
+    """Forward-pass rows [T | T L^-1 R] of [L | R], T upper-triangular; L = ``left`` must be invertible."""
+    n = left.nrows
+    rows = [row + [x for m in right for x in m.rows[i]] for i, row in enumerate(left.rows)]
+    rows, pivots, _ = _eliminate(left.field, rows, len(rows[0]), back=False)
+    if pivots[:n] != list(range(n)):
+        raise DomainError("adapted basis must be invertible")
+    return rows
 
 
 def _bruhat_pivots(fld, rows: list[list], cols) -> dict:
@@ -239,7 +246,7 @@ def _sample_cells(tup: PositionTuple) -> tuple[int, int, int]:
 
     Counted as if every part other than k0 were eliminated, on
     sum_{k != k0} codim I_k rows and dim I_k0 columns, in
-    rows x cols x min(rows, cols) cells; drawing the 2s flags and solving
+    rows x cols x min(rows, cols) cells; drawing the 2s flags and reducing
     against them adds s (r^3 + q^3), so that no sample is free even when
     the reduced matrix is empty.  ``h_intersection_dim`` reduces a second
     part in closed form and eliminates less; the count is kept so that

@@ -27,6 +27,7 @@ from horncalc.matrices import (
     rref,
     solve_exact,
 )
+from horncalc.tangent import _forward_rows
 from helpers import from_ints, mul_vec
 
 
@@ -443,6 +444,41 @@ class TestInverseDetSolve:
         b = from_ints(QQ, [[0], [1]])
         with pytest.raises(DomainError):
             solve_exact(a, b)
+
+
+def _invertible_with_zero_corner(field, n, rng) -> Mat:
+    """A random invertible n x n matrix whose (0, 0) entry is 0, so the forward pass swaps rows."""
+    while True:
+        m = random_matrix(field, n, n, rng)
+        m.rows[0][0] = field.zero
+        if rank(m) == n:
+            return m
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(3), PrimeField(DEFAULT_PRIME), QQ, SQRT5],
+    ids=["gf2", "gf3", "gfp", "rational", "sqrt5"],
+)
+def test_forward_rows_are_the_solution_up_to_a_triangular_factor(field):
+    # the certifier reads B_k and A_k off [T | Y] instead of solving: Y = T L^-1 R
+    # with T upper-triangular and invertible only changes L's adapted basis
+    rng = rngmod.spawn(14, 0)
+    for n in range(1, 7):
+        lefts = [Flag.random(field, n, rng).mat for _ in range(3)]
+        if n >= 2:
+            lefts.append(_invertible_with_zero_corner(field, n, rng))
+        for left in lefts:
+            right = random_matrix(field, n, rng.randrange(1, 2 * n + 1), rng)
+            rows = _forward_rows(left, right)
+            t = Mat(field, [row[:n] for row in rows], n)
+            assert all(field.is_zero(t.rows[i][j]) for i in range(n) for j in range(i))
+            assert not any(field.is_zero(t.rows[i][i]) for i in range(n))
+            assert Mat(field, [row[n:] for row in rows], right.ncols) == t.mul(solve_exact(left, right))
+        if n >= 2:
+            singular = Mat(field, lefts[0].rows, n)
+            singular.rows[-1] = list(singular.rows[0])
+            with pytest.raises(DomainError, match="adapted basis must be invertible"):
+                _forward_rows(singular, random_matrix(field, n, n, rng))
 
 
 def test_shape_errors():
