@@ -210,7 +210,7 @@ class RationalField(_OperatorField):
         out, scales = [], []
         for row in rows:
             m = lcm(*[x.denominator for x in row])
-            out.append([x.numerator * (m // x.denominator) for x in row])
+            out.append([x.numerator * (m // x.denominator) for x in row] if m > 1 else [x.numerator for x in row])
             scales.append(m)
         return out, scales
 

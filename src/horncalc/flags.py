@@ -4,13 +4,15 @@ A flag on an n-dimensional space is stored as an invertible n x n matrix
 whose columns are an adapted basis: the span of the first j columns is the
 j-th step of the flag.
 
-``position`` computes the Schubert position of a subspace by reading off the
-pivot rows of a bottom-pivot column echelon form of the subspace expressed
-in flag coordinates; the forward elimination pass alone finds them.  The
-same reduction, carried through the back pass, yields the unique
-cell-normal-form basis (coefficient one on the pivot row, zeros on the
-other pivot rows and below), which is what the induced-flag constructions
-need.
+``position`` computes the Schubert position of a subspace as the sorted
+pivot rows of the forward elimination pass (``matrices._eliminate``) on its
+basis in flag coordinates.  That pass only ever adds a row to an earlier
+one, which keeps the span of every block of bottom rows, so its pivot rows
+are where the rank of the bottom rows grows: the jumps of dim(E(j) meet S).
+``cell_normal_basis`` reduces the columns instead, read bottom to top,
+through the back pass; the result is the unique cell-normal-form basis
+(coefficient one on the pivot row, zeros on the other pivot rows and
+below), which is what the induced-flag constructions need.
 
 ``sample_cell_point`` works in the chart of ``CardSubset.cell_slots``: in
 flag coordinates a point of the cell at I has basis columns with a one at
@@ -107,19 +109,18 @@ class SubspaceBasis:
         return f"SubspaceBasis({self.dim} in {self.ambient_dim}, field={self.field!r})"
 
 
-def _bottom_echelon(field, mat: Mat, back: bool = True) -> tuple[list[int], list[list] | None]:
+def _bottom_echelon(field, mat: Mat) -> tuple[list[int], list[list]]:
     """Column reduction with pivots at the lowest nonzero rows.
 
     Returns the sorted pivot rows (0-based) and the matching reduced columns:
     pivot entry one, zeros at every other pivot row and below the pivot.
-    This is the reduced row echelon form of the columns read bottom to top;
-    without ``back`` only the pivot rows are found, and the columns are None.
+    This is the reduced row echelon form of the columns read bottom to top.
     """
     n = mat.nrows
-    rows, pivots, _ = _eliminate(field, [c[::-1] for c in mat.columns()], n, back)
+    rows, pivots, _ = _eliminate(field, [c[::-1] for c in mat.columns()], n, back=True)
     if len(pivots) < mat.ncols:
         raise DomainError("columns are linearly dependent")
-    return [n - 1 - c for c in reversed(pivots)], [row[::-1] for row in reversed(rows)] if back else None
+    return [n - 1 - c for _, c in reversed(pivots)], [rows[i][::-1] for i, _ in reversed(pivots)]
 
 
 def position(subspace: SubspaceBasis, flag: Flag) -> CardSubset:
@@ -133,8 +134,8 @@ def position(subspace: SubspaceBasis, flag: Flag) -> CardSubset:
     if subspace.dim == 0:
         return CardSubset(flag.space_dim, ())
     coords = flag.inv().mul(subspace.mat)
-    pivots, _ = _bottom_echelon(flag.field, coords, back=False)
-    return CardSubset(flag.space_dim, tuple(p + 1 for p in pivots))
+    _, pivots, _ = _eliminate(flag.field, coords.rows, subspace.dim, back=False)
+    return CardSubset(flag.space_dim, tuple(sorted(i + 1 for i, _ in pivots)))
 
 
 def cell_normal_basis(subspace: SubspaceBasis, flag: Flag) -> tuple[CardSubset, Mat]:

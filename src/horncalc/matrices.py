@@ -2,23 +2,30 @@
 
 Plain Gaussian elimination: exact fields need no pivoting strategy, and
 the whole artifact works at desk scale (n up to a few dozen).  One loop
-serves every field and every caller, updating rows in place; the row
-updates are the field's own ``scale_row`` and ``sub_scaled_row``, and each
-entry of a product is one field ``dot``, so GF(p) stays on machine integers.
+serves every field and every caller, updating rows in place and never
+exchanging them: a column's pivot is the last unused row nonzero there.
+That is the Bruhat decomposition (Fulton, *Young Tableaux*, section 10), so
+the pivots give the rank, the Schubert position of a column span
+(``flags.position``) and the certifier's Bruhat permutations, and their
+product, negated once for each unused row a pivot passes over, is the
+determinant.  The row updates are the field's own ``scale_row`` and
+``sub_scaled_row``, and each entry of a product is one field ``dot``, so
+GF(p) stays on machine integers.
 Over Q the same loop is fraction-free: rows scaled to integers by the
 field's ``integer_rows`` are updated by one rule in both passes, Bareiss'
 step on rows kept divided by their content, and the field's
 ``integer_quotients`` turns the integers back into fractions only at the
 end; a product over Q is likewise one integer dot per entry.
-``rank``, ``det`` and the certifier run only its forward pass, whose echelon
-rows over Q are integers, each a nonzero multiple of its reduced row; the
-back pass runs for ``rref`` and the callers that read reduced rows.
+``rank``, ``det``, ``position`` and the certifier run only its forward pass,
+whose rows over Q are integers, each a nonzero multiple of its reduced row;
+the back pass runs for ``rref`` and the callers that read reduced rows.
 Over Q ``rank`` first ranks its input's integer rows mod 2^31 - 1, the field's
 ``residue_field``; a full rank there is the answer.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import gcd, prod
 from operator import mul as _mul
 from typing import Sequence
@@ -40,8 +47,12 @@ def check_elim_cells(field, cells: int, what: str) -> None:
     edge, 2.5 x 10^5 cells: 10-21 for a certifier sample whose rank runs
     the integer pass (r = 10-30), about 2 for one decided mod p, up to 6
     for ``delta_determinant`` and 4.5 for ``sample_cell_point`` and
-    ``position``.  A cell over Q(sqrt 5), eliminated over fractions,
-    counts 256.
+    ``position``.  Re-measured with the exchange-free loop, no ratio is
+    past those: 3-8 for such samples at r = 20-24, 1.4 for one decided mod
+    p (n = 16), 1.0-1.1 for ``delta_determinant`` (n = 43) and 3.4-3.6 for
+    ``sample_cell_point`` and ``position`` (n = 62); the weight is kept, so
+    refusals stay as they are.  A cell over Q(sqrt 5), eliminated over
+    fractions, counts 256.
     """
     cost = field.cell_cost
     if cells * cost > MAX_ELIM_CELLS:
@@ -147,32 +158,48 @@ class Mat:
         return f"Mat({self.field!r}, {self.rows!r})"
 
 
-def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple[list[list], list[int], object]:
-    """Gaussian elimination, the one elimination loop of the package.
+def _eliminate(
+    field, rows: Sequence[Sequence], ncols: int, back: bool
+) -> tuple[list[list], list[tuple[int, int]], object]:
+    """Gaussian elimination without row exchanges, the one elimination loop of the package.
 
-    Returns the rows, the pivot columns, and the product of the pivots as
-    found, negated once per row swap: the determinant when the matrix is
-    square and of full rank.  A pivot step clears its column in the rows
-    below it and, with ``back``, in the rows above it too; the rows above
-    change no pivot.  With ``back`` the rows are the reduced echelon form;
-    without it they are E times the input, E lower-triangular after the row
-    swaps, so [L | R] with L invertible gives [T | T L^-1 R], T upper-triangular.
-    Over Q each is a nonzero integer multiple of the row the other fields give.
+    Columns are taken in order, and a column's pivot is the last unused row
+    with a nonzero entry there.  The pivot step clears the column in the
+    unused rows before the pivot row (those after it are zero there) and,
+    with ``back``, in the earlier pivot rows too.  Rows never move: the
+    pivots are returned as (row, column) pairs in column order, and the rows
+    read in that order are an echelon form; columns past ``ncols`` are
+    carried along.  Also returned is the pivot product, negated once for
+    each unused row a pivot passes over: the determinant when the matrix is
+    square and of full rank.
+
+    Without ``back`` the rows are U times the input, U upper-triangular, so
+    the pivots depend only on the ranks of the lower-left blocks: the pivot
+    rows are the Schubert position of the column span in the coordinate
+    flag, and on U' w U'' (U', U'' upper-triangular, w a permutation) column
+    c's pivot row is w's row for column c.  Read in pivot order, the rows of
+    [L | R] with L invertible are [T | T L^-1 R], T upper-triangular.  With
+    ``back`` the pivot rows in pivot order are the reduced echelon form, and
+    the other rows are zero.  Over Q, apart from those reduced rows, each
+    row returned is integers, a nonzero multiple of the row the other
+    fields give.
 
     Over a field with ``integer_rows`` (Q) the loop runs on integers
     (Bareiss): each row is scaled by the LCM of its denominators, which
     moves no pivot, and every updated row is kept divided by its content,
     kept aside in ``contents``: the rows of a certifier sample share
     factors of thousands of bits, which its minors would carry.  Bareiss'
-    row i is contents[i] times row i, so a pivot step replaces it by
-    w = (piv row - row[c] piv_row) // (prev / gcd(prev, contents[i] contents[k])),
+    row i is contents[i] times row i, so a pivot step at row p replaces
+    every unused row i (also those after row p, which it only rescales, as
+    Bareiss' division needs) and with ``back`` every earlier pivot row by
+    w = (piv row - row[c] piv_row) // (prev / gcd(prev, contents[i] contents[p])),
     with prev Bareiss' pivot of the step before, and divides w by its
-    content; the last pivot is the leading minor.  A row above the pivot is
-    updated whole (from its own pivot column, as it is zero to the left), so
-    each row ends proportional to its reduced row, and fractions are built
-    only from those rows over their pivot entries and for the pivot product.
-    Over the other fields the pivot row is scaled to one and the field's
-    ``sub_scaled_row`` clears the others.
+    content; the last pivot is the leading minor of the rows in pivot order.
+    An earlier pivot row is updated whole (from its own pivot column, as it
+    is zero to the left), so each row ends proportional to its reduced row,
+    and fractions are built only for the reduced rows, each over its pivot
+    entry, and for the pivot product.  Over the other fields the pivot row
+    is scaled to one and the field's ``sub_scaled_row`` clears the others.
     """
     integer_rows = field.integer_rows
     if integer_rows is None:
@@ -180,45 +207,38 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple
     else:
         rows, lcms = integer_rows(rows)
         contents, prev = [1] * len(rows), 1
-    nrows = len(rows)
     is_zero, scale_row, sub_scaled_row = field.is_zero, field.scale_row, field.sub_scaled_row
-    pivots = []
-    factor = field.one
+    free, pivots = list(range(len(rows))), []
+    factor, odd = field.one, 0
     for c in range(ncols):
-        k = len(pivots)
-        if k == nrows:
+        if not free:
             break
-        for pr in range(k, nrows):
-            if not is_zero(rows[pr][c]):
+        for t in range(len(free) - 1, -1, -1):
+            if not is_zero(rows[free[t]][c]):
                 break
         else:
             continue
-        if pr != k:
-            rows[k], rows[pr] = rows[pr], rows[k]
-            factor = field.neg(factor)
-            if lcms is not None:
-                lcms[k], lcms[pr] = lcms[pr], lcms[k]
-                contents[k], contents[pr] = contents[pr], contents[k]
-        piv_row = rows[k]
+        p = free.pop(t)
+        odd ^= t & 1  # moving row p above the t unused rows before it
+        piv_row = rows[p]
         piv = piv_row[c]
         if lcms is None:
             factor = field.mul(factor, piv)
-            # row k is zero left of column c, so every update starts there
+            # the pivot row is zero left of column c, so every update starts there
             piv_row[c:] = tail = scale_row(field.div(field.one, piv), piv_row[c:])
-        else:
-            sk = contents[k]
-        for i in range(0 if back else k + 1, nrows):
-            if i == k:
-                continue
-            row = rows[i]
-            x = row[c]
-            if lcms is None:
+            for i in chain(free, (i for i, _ in pivots)) if back else free:
+                row = rows[i]
+                x = row[c]
                 if not is_zero(x):
                     row[c:] = sub_scaled_row(row[c:], x, tail)
-            else:
-                # a row above is zero left of its own pivot, a row below left of column c
-                j = c if i > k else pivots[i]
-                ss = contents[i] * sk
+        else:
+            sp = contents[p]
+            # an unused row is zero left of column c, a pivot row left of its own column j
+            targets = zip(free, repeat(c))
+            for i, j in chain(targets, pivots) if back else targets:
+                row = rows[i]
+                x = row[c]
+                ss = contents[i] * sp
                 d = prev // gcd(prev, ss)
                 if x:
                     w = [(piv * y - x * z) // d for y, z in zip(row[j:], piv_row[j:])]
@@ -227,22 +247,24 @@ def _eliminate(field, rows: Sequence[Sequence], ncols: int, back: bool) -> tuple
                 g = gcd(*w)
                 row[j:] = [y // g for y in w] if g > 1 else w
                 contents[i] = ss * d // prev * g
-        if lcms is not None:
-            prev = sk * piv
-        pivots.append(c)
-    if lcms is not None:
-        k = len(pivots)
-        factor = field.mul(factor, field.div(field.from_int(prev), field.from_int(prod(lcms[:k]))))
+            prev = sp * piv
+        pivots.append((p, c))
+    if lcms is None:
+        if odd:
+            factor = field.neg(factor)
+    else:
+        factor = field.integer_quotients([-prev if odd else prev], [prod(lcms[i] for i, _ in pivots)])[0]
         if back:
-            rows = [field.integer_quotients(row, [row[c]] * ncols) for row, c in zip(rows, pivots)]
-            rows += [[field.zero] * ncols for _ in range(k, nrows)]
+            for i, c in pivots:
+                rows[i] = field.integer_quotients(rows[i], [rows[i][c]] * ncols)
     return rows, pivots, factor
 
 
 def rref(m: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the pivot column indices."""
     rows, pivots, _ = _eliminate(m.field, m.rows, m.ncols, back=True)
-    return Mat(m.field, rows, m.ncols), pivots
+    zeros = [[m.field.zero] * m.ncols for _ in range(m.nrows - len(pivots))]
+    return Mat(m.field, [rows[i] for i, _ in pivots] + zeros, m.ncols), [c for _, c in pivots]
 
 
 def rank(m: Mat) -> int:

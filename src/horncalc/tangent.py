@@ -35,9 +35,13 @@ form.  Every invertible matrix is U w U' with U, U' upper-triangular and w a
 permutation (Bruhat), the relative position of two flags; the shared
 factors of A_k1 and B_k1, carried onto the other parts, leave permutation
 matrices there, and each constraint of part k1 then sets one entry of psi
-to zero.  Only the other s - 2 parts are eliminated, on the slots that
-survive: for an edim-0 triple a matrix of about codim I_k2 square instead
-of (codim I_k1 + codim I_k2) x dim I_k0, and none for a pair, with the
+to zero.  The same forward pass finds them: run on B_k1's columns, with
+the other parts' columns carried along, its pivots are w and its row
+operations are the shared factor, made on every part at once; A_k1 goes
+the same way transposed, with both index orders reversed.  Only the other
+s - 2 parts are eliminated, on the slots that survive: for an edim-0
+triple a matrix of about codim I_k2 square instead of
+(codim I_k1 + codim I_k2) x dim I_k0, and none for a pair, with the
 same kernel dimension for every field and every flag tuple.  The
 elimination budget (``matrices.check_elim_cells``, weighted by field)
 covers every sample of a call, as a non-member draws them all: each costs
@@ -58,7 +62,6 @@ identities (see the test suite).
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, ShapeError
@@ -151,12 +154,14 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
 
     Works on the reduced space of the module docstring.  Nothing is inverted
     or solved: ``_forward_rows`` gives T0 B_k for every k from [F0 | F_k ...]
-    and T_k A_k from each [G_k | G0].  ``_bruhat_pivots`` brings B_k1, and
-    A_k1 transposed with both orders reversed, to Bruhat normal form,
-    carrying the shared operations onto the other parts; each constraint of
-    part k1 then kills one slot.  Row (i, a) of a remaining part k on a
-    surviving slot (a', b) is A_k[i][b] B_k[a'][a], and the result is the
-    number of surviving slots minus the rank of those rows.
+    and T_k A_k from each [G_k | G0].  A forward pass over B_k1's columns
+    of the rows of every T0 B_k finds B_k1's Bruhat permutation, and one
+    over A_k1's of the T_k A_k transposed, both index orders reversed, finds
+    A_k1's; both carry the shared row operations onto the other parts, and
+    each constraint of part k1 then kills one slot.  Row (i, a) of a
+    remaining part k on a surviving slot (a', b) is A_k[i][b] B_k[a'][a],
+    and the result is the number of surviving slots minus the rank of those
+    rows.
     """
     if len(f_flags) != tup.s or len(g_flags) != tup.s:
         raise ShapeError(f"need {tup.s} flag pairs, got {len(f_flags)}, {len(g_flags)}")
@@ -175,65 +180,33 @@ def h_intersection_dim(tup: PositionTuple, f_flags: Sequence[Flag], g_flags: Seq
     q, ks = g0.nrows, (k1, *rest)
     # every T0 B_k, B_k1 first: for k = ks[j] it is columns j r .. j r + r - 1 (integers over Q)
     b_rows = [row[r:] for row in _forward_rows(f_flags[k0].mat, *(f_flags[k].mat for k in ks))]
-    # the T_k A_k transposed and side by side, column b of each in row q - 1 - b,
-    # so that the recipe for B serves A with both index orders reversed
+    # the T_k A_k transposed and side by side with both index orders reversed, entry (i, b)
+    # of the j-th in row q - 1 - b and column (j + 1) q - 1 - i, so that B's recipe serves A
     a_ks = [_forward_rows(g_flags[k].mat, g0) for k in ks]
-    a_rows = [[a[i][q + b] for a in a_ks for i in range(q)] for b in reversed(range(q))]
-    b_piv = _bruhat_pivots(fld, b_rows, range(r))
-    a_piv = _bruhat_pivots(fld, a_rows, reversed(range(q)))
-    # k1's row i of column a reads psi[q - 1 - a_piv[i]][b_piv[a]]
-    killed = {(b_piv[a], q - 1 - a_piv[i])
+    a_rows = [[a[i][q + b] for a in a_ks for i in reversed(range(q))] for b in reversed(range(q))]
+    b_rows, b_piv, _ = _eliminate(fld, b_rows, r, back=False)
+    a_rows, a_piv, _ = _eliminate(fld, a_rows, q, back=False)
+    # k1's row i of column a reads psi[q - 1 - a_piv[q - 1 - i]][b_piv[a]], both pivot rows
+    killed = {(b_piv[a][0], q - 1 - a_piv[q - 1 - i][0])
               for a, ia in enumerate(tup.parts[k1].elements) for i in range(ia - a - 1, q)}
     live = [(a_rows[q - 1 - b], b_rows[ap]) for ap, b in slots if (ap, b) not in killed]
     rows = []
     for j, k in enumerate(rest, 1):
+        end = (j + 1) * q - 1
         for a, ia in enumerate(tup.parts[k].elements):
             col = j * r + a
-            rows.extend([mul(ar[j * q + i], br[col]) for ar, br in live] for i in range(ia - a - 1, q))
+            rows.extend([mul(ar[end - i], br[col]) for ar, br in live] for i in range(ia - a - 1, q))
     return len(live) - rank(Mat(fld, rows, len(live)))
 
 
 def _forward_rows(left: Mat, *right: Mat) -> list[list]:
-    """Forward-pass rows [T | T L^-1 R] of [L | R], T upper-triangular; L = ``left`` must be invertible."""
+    """Forward-pass rows [T | T L^-1 R] of [L | R] in pivot order, T upper-triangular; L = ``left`` invertible."""
     n = left.nrows
     rows = [row + [x for m in right for x in m.rows[i]] for i, row in enumerate(left.rows)]
-    rows, pivots, _ = _eliminate(left.field, rows, len(rows[0]), back=False)
-    if pivots[:n] != list(range(n)):
+    rows, pivots, _ = _eliminate(left.field, rows, n, back=False)
+    if len(pivots) < n:
         raise DomainError("adapted basis must be invertible")
-    return rows
-
-
-def _bruhat_pivots(fld, rows: list[list], cols) -> dict:
-    """Pivot row of each column of ``cols``, in the Bruhat normal form of those columns.
-
-    The columns are taken in the order given.  A column's pivot is the last
-    row not used yet with a nonzero entry there, and the unused rows before
-    it are cleared with whole-row operations: a later row added to earlier
-    ones, an upper-triangular operation on the left, made in place on the
-    other columns too.  The operations on the right that would clear the
-    pivot rows touch nothing else, so they are left out.  Over Q the rows
-    are integers, each kept divided by its content.
-    """
-    integral = fld.integer_rows is not None
-    is_zero, scale_row, sub_scaled_row = fld.is_zero, fld.scale_row, fld.sub_scaled_row
-    free, pivots = list(range(len(rows))), {}
-    for c in cols:
-        at = next(t for t in reversed(range(len(free))) if not is_zero(rows[free[t]][c]))
-        p = pivots[c] = free.pop(at)
-        piv_row = rows[p]
-        if not integral:
-            piv_row = rows[p] = scale_row(fld.div(fld.one, piv_row[c]), piv_row)
-        for i in free[:at]:
-            x = rows[i][c]
-            if is_zero(x):
-                continue
-            if integral:
-                w = sub_scaled_row(scale_row(piv_row[c], rows[i]), x, piv_row)
-                g = gcd(*w)
-                rows[i] = [y // g for y in w]
-            else:
-                rows[i] = sub_scaled_row(rows[i], x, piv_row)
-    return pivots
+    return [rows[i] for i, _ in pivots]
 
 
 def _reduced_part(tup: PositionTuple) -> int:

@@ -19,6 +19,7 @@ from horncalc.fields import (
 from horncalc.flags import Flag
 from horncalc.matrices import (
     Mat,
+    _eliminate,
     det,
     inverse,
     kernel_basis,
@@ -28,7 +29,7 @@ from horncalc.matrices import (
     solve_exact,
 )
 from horncalc.tangent import _forward_rows
-from helpers import from_ints, mul_vec
+from helpers import from_ints, mul_vec, random_upper_triangular
 
 
 class TestPrimality:
@@ -410,8 +411,16 @@ class TestInverseDetSolve:
         assert det(from_ints(QQ, [[1, 2], [2, 4]])) == 0
         assert det(Mat(QQ, [], ncols=0)) == 1
 
-    @pytest.mark.parametrize("field", [QQ, PrimeField(7), SQRT5], ids=["rational", "gf7", "sqrt5"])
+    @pytest.mark.parametrize(
+        "field", [QQ, PrimeField(7), SQRT5, PrimeField(3)], ids=["rational", "gf7", "sqrt5", "gf3"]
+    )
     def test_det_matches_leibniz(self, field):
+        # every permutation matrix up to 5 x 5: the forward pass passes over
+        # unused rows instead of exchanging them, and each one is a sign
+        for n in range(6):
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                assert det(_permutation_matrix(field, perm)) == field.from_int((-1) ** inversions)
         rng = rngmod.spawn(6, 0)
         for n in range(5):
             cases = [Mat.from_columns(field, Mat.identity(field, n).rows[::-1], n)]  # anti-diagonal
@@ -479,6 +488,41 @@ def test_forward_rows_are_the_solution_up_to_a_triangular_factor(field):
             singular.rows[-1] = list(singular.rows[0])
             with pytest.raises(DomainError, match="adapted basis must be invertible"):
                 _forward_rows(singular, random_matrix(field, n, n, rng))
+
+
+def _permutation_matrix(field, perm) -> Mat:
+    """The matrix with a one at (perm[c], c) for each column c."""
+    m = Mat.zeros(field, len(perm), len(perm))
+    for c, i in enumerate(perm):
+        m.rows[i][c] = field.one
+    return m
+
+
+@pytest.mark.parametrize(
+    "field", [PrimeField(2), PrimeField(3), PrimeField(DEFAULT_PRIME), QQ, SQRT5],
+    ids=["gf2", "gf3", "gfp", "rational", "sqrt5"],
+)
+def test_forward_pass_finds_the_bruhat_permutation(field):
+    # M = U1 w U2 with U1, U2 invertible upper-triangular: the forward pass on
+    # M's n columns takes column c's pivot in w's row for column c, and its rows,
+    # left in place, are U M for an upper-triangular U.  The certifier carries
+    # further columns along, which must not move a pivot.
+    rng = rngmod.spawn(15, 0)
+    for n in range(1, 7):
+        perms = [list(range(n)), list(range(n))[::-1]]
+        for _ in range(4):
+            perms.append(rng.sample(range(n), n))
+        for perm in perms:
+            m = random_upper_triangular(field, n, rng).mul(_permutation_matrix(field, perm))
+            m = m.mul(random_upper_triangular(field, n, rng))
+            for extra in (0, 1, 2 * n):
+                right = random_matrix(field, n, extra, rng)
+                rows, pivots, _ = _eliminate(field, m.hstack(right).rows, n, back=False)
+                assert pivots == [(i, c) for c, i in enumerate(perm)]
+                rows = Mat(field, [[field.parse(x) for x in row] for row in rows], n + extra)
+                u = Mat(field, [row[:n] for row in rows.rows], n).mul(inverse(m))
+                assert all(field.is_zero(u.rows[i][j]) for i in range(n) for j in range(i))
+                assert Mat(field, [row[n:] for row in rows.rows], extra) == u.mul(right)
 
 
 def test_shape_errors():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -129,6 +130,20 @@ class TestPosition:
             assert cell_normal_basis(sub, flag) == expected
             checked += 1
         assert checked >= 30
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=["gf2", "gf3", "rational"])
+    def test_partial_permutations_under_triangular_flags(self, field):
+        # an upper-triangular adapted basis gives the standard flag, where the
+        # span of the unit vectors at rows R sits at R + 1; in its coordinates
+        # the pivot search must take the last unused row, not the first
+        rng = rngmod.spawn(16, 0)
+        for n in range(1, 6):
+            for d in range(n + 1):
+                for rows in itertools.permutations(range(n), d):
+                    cols = [[field.one if i == j else field.zero for i in range(n)] for j in rows]
+                    sub = SubspaceBasis(field, Mat.from_columns(field, cols, n))
+                    flag = Flag(field, random_upper_triangular(field, n, rng))
+                    assert position(sub, flag).elements == tuple(sorted(i + 1 for i in rows))
 
     def test_shape_error(self):
         e = example_flag()
